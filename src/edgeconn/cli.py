@@ -4,7 +4,7 @@ Subcommands: invariants, free, atlas, enumerate, conditions, verify, mine,
 selftest.  Reports are JSON (objects, one per line for streams) or CSV.
 Exit codes: 0 success / claim held, 2 claim violated or witness missing,
 1 usage or I/O error.  Worker count defaults to the EDGECONN_WORKERS
-environment variable.
+environment variable; a count below 1 is an error (exit 1).
 """
 
 from __future__ import annotations

@@ -106,15 +106,14 @@ def _holds_xu_pairing(g: Graph) -> bool:
 
 
 def _holds_dankelmann_volkmann(g: Graph) -> bool:
-    """With p = max(omega, 2): omega <= p and n <= 2*floor(p*delta/(p-1)) - 1.
+    """With p = max(omega, 2): n <= 2*floor(p*delta/(p-1)) - 1.
 
-    The bound weakens as p grows, so p = max(omega, 2) is the strongest
-    valid instantiation of the published p-parameterized condition.
+    The published condition takes any p >= 2 with omega <= p (a K_{p+1}-free
+    graph).  Its bound weakens as p grows, so p = max(omega, 2) is the
+    strongest valid choice, and that choice meets omega <= p by construction.
     """
-    omega = clique_number(g)
-    p = max(omega, 2)
-    delta = min_degree(g)
-    return omega <= p and g.n <= 2 * (p * delta // (p - 1)) - 1
+    p = max(clique_number(g), 2)
+    return g.n <= 2 * (p * min_degree(g) // (p - 1)) - 1
 
 
 CONDITION_NAMES = tuple(c.name for c in Condition)

@@ -6,6 +6,18 @@ by attaching a new vertex, and a child is kept only when deleting its
 canonically chosen removable vertex recovers this very parent.  Each class
 then survives exactly one parent, and a per-parent form set removes the
 remaining sibling duplicates, so no global seen-set is needed.
+
+Degree lemma.  The canonical search's first refinement splits the vertex set
+by degree, ascending, and every later step only splits cells in place, so the
+canonical order lists vertices by non-decreasing degree.  The removable vertex
+it picks last therefore has the largest degree among the non-cut vertices.  A
+child is accepted only when that vertex is the new one or its deletion gives a
+graph isomorphic to the parent, and both force its degree to equal the new
+vertex's.  So a candidate in which some non-cut vertex outranks the new vertex
+in degree is rejected before it is canonically labelled, and only vertices of
+degree at least the new vertex's need the non-cut test at all (the new vertex
+itself is never a cut vertex: deleting it leaves the connected parent).  The
+accepted children, and their order, are exactly those of the full test.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ import os
 from collections.abc import Iterable, Iterator
 from multiprocessing import get_context
 
-from .graphs import Graph, GraphError, Graph6Error, _bits, from_graph6, to_graph6
+from .graphs import Graph, GraphError, Graph6Error, from_graph6, to_graph6
 from .iso import _canonical_rows, is_free
 
 MAX_ENUM_ORDER = 10
@@ -22,19 +34,20 @@ MAX_ENUM_ORDER = 10
 _levels: dict[int, tuple[Graph, ...]] = {1: (Graph(1, (0,)),)}
 
 
-def _non_cut_vertices(n: int, adj) -> list[int]:
-    """Vertices whose deletion keeps the (connected) graph connected."""
+def _non_cut_vertices(n: int, adj, candidates) -> list[int]:
+    """The candidates whose deletion keeps the (connected) graph connected."""
     out = []
     full = (1 << n) - 1
-    for v in range(n):
+    for v in candidates:
         allowed = full ^ (1 << v)
-        start = (allowed & -allowed).bit_length() - 1
-        seen = 1 << start
+        seen = allowed & -allowed
         frontier = seen
         while frontier:
             grow = 0
-            for u in _bits(frontier):
-                grow |= adj[u]
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                grow |= adj[b.bit_length() - 1]
             frontier = grow & allowed & ~seen
             seen |= frontier
         if seen == allowed:
@@ -74,18 +87,23 @@ def expand_children(parent: Graph) -> list[Graph]:
                 continue
             for a in parent_autos:
                 img = 0
-                for v in _bits(mask):
-                    img |= 1 << a[v]
+                m = mask
+                while m:
+                    b = m & -m
+                    m ^= b
+                    img |= 1 << a[b.bit_length() - 1]
                 if img != mask:
                     handled_masks.add(img)
         rows = [padj[v] | (1 << pn) if mask >> v & 1 else padj[v] for v in range(pn)]
         rows.append(mask)
+        # degree lemma (module docstring): no non-cut vertex may outrank the new one
+        d = mask.bit_count()
+        removable = _non_cut_vertices(n, rows, [v for v in range(pn) if rows[v].bit_count() >= d])
+        if any(rows[v].bit_count() > d for v in removable):
+            continue
         perm, enc, _ = _canonical_rows(n, rows)
-        pos = [0] * n
-        for i, v in enumerate(perm):
-            pos[v] = i
-        removable = _non_cut_vertices(n, rows)
-        vstar = max(removable, key=lambda v: pos[v])
+        removable.append(pn)
+        vstar = max(removable, key=perm.index)
         if vstar != pn:
             reduced = _delete_rows(n, rows, vstar)
             if sorted(r.bit_count() for r in reduced) != parent_degs:
@@ -124,10 +142,15 @@ def ensure_level(n: int, workers: int = 1) -> tuple[Graph, ...]:
 
     Workers split the parent list into ordered chunks, so the merged result
     is byte-identical to the sequential one; worker count only changes wall
-    time.
+    time.  A count below 1 is an error, and one above ``os.cpu_count()`` is
+    lowered to it, so no input starts more processes than the machine has
+    processors.
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise GraphError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}, got {n}")
+    if workers < 1:
+        raise GraphError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     if n in _levels:
         return _levels[n]
     parents = ensure_level(n - 1, workers)

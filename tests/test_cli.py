@@ -182,6 +182,20 @@ class TestEnumerate:
         assert out1 == out2
 
 
+class TestWorkerCount:
+    @pytest.mark.parametrize("sub", [
+        ["enumerate", "--n", "5"],
+        ["verify", "--pair", "P4", "--n-max", "5"],
+        ["mine", "--pair", "P4", "--n-max", "5"],
+    ])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, capsys, sub, workers):
+        code = main([*sub, "--workers", workers])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert f"error: workers must be at least 1, got {workers}" in err
+
+
 class TestConditions:
     def test_csv_header_contract(self, tmp_path, capsys):
         path = tmp_path / "in.g6"

@@ -1,5 +1,7 @@
 """Connected-graph enumerator: counts, uniqueness, parallel merge, streams."""
 
+import hashlib
+
 import pytest
 
 from edgeconn import (
@@ -18,9 +20,30 @@ from edgeconn import (
     to_graph6,
     write_graph6_stream,
 )
+from edgeconn import enumeration
+from edgeconn.graphs import induced, is_connected
 from edgeconn.oracles import connected_class_count_oracle
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+# sha256 of each level's graph6 lines, each followed by "\n"; any change to
+# which representative the enumerator emits, or in what order, changes these
+LEVEL_SHA256 = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+    3: "e53a5e15924c562ea91b2e31166da62399d58c4af1027d8ef1aa54ab3235fac4",
+    4: "4fd93a12c759cf8d19b76cedb1838fcc156e79685326c8e75cf763de1c7865eb",
+    5: "ae9c91e3467926af0653b233b8236806c091440f0d9be408f5d7fbd5f7c307d4",
+    6: "da2b615e7e85474242897fdf10439c61b96f530f27ed37384107e14f53c7b382",
+    7: "956bf73c8ae572bbb30c1df5d9cc7e527b261868ab0e5e3384ba71c18694921c",
+    8: "3c5f6481771090fc5aa48cc46fe1f7fd57030da796e7a77b0c3e208495ef8d4c",
+}
+
+
+def brute_non_cut(g):
+    """Vertices whose deletion leaves a connected graph, by direct test."""
+    full = (1 << g.n) - 1
+    return [v for v in range(g.n) if is_connected(induced(g, full ^ (1 << v)))]
 
 
 class TestCounts:
@@ -58,8 +81,6 @@ class TestExpansion:
         assert a == b
 
     def test_parallel_merge_is_byte_identical(self, levels7):
-        from edgeconn import enumeration
-
         saved = dict(enumeration._levels)
         try:
             enumeration._levels.clear()
@@ -70,6 +91,36 @@ class TestExpansion:
             enumeration._levels.update(saved)
         assert [to_graph6(g) for g in par] == [to_graph6(g) for g in levels7[7]]
 
+    def test_stream_digests_pinned(self, levels8):
+        for n, want in LEVEL_SHA256.items():
+            stream = "".join(to_graph6(g) + "\n" for g in levels8[n])
+            assert hashlib.sha256(stream.encode("ascii")).hexdigest() == want, n
+
+    def test_new_vertex_has_top_non_cut_degree(self, levels8):
+        # the degree lemma the candidate filter in expand_children rests on
+        for n in range(2, 9):
+            for g in levels8[n]:
+                removable = brute_non_cut(g)
+                assert n - 1 in removable, to_graph6(g)
+                top = max(g.adj[v].bit_count() for v in removable)
+                assert g.adj[n - 1].bit_count() == top, to_graph6(g)
+
+    def test_non_cut_vertices_match_brute_force(self, levels6):
+        for n in range(2, 7):
+            for g in levels6[n]:
+                want = brute_non_cut(g)
+                degs = [r.bit_count() for r in g.adj]
+                subsets = (
+                    list(range(n)),
+                    list(range(n - 1, -1, -1)),
+                    [v for v in range(n) if degs[v] >= degs[n - 1]],
+                    [v for v in range(n) if v % 2],
+                    [],
+                )
+                for cands in subsets:
+                    got = enumeration._non_cut_vertices(n, g.adj, cands)
+                    assert got == [v for v in cands if v in want], (to_graph6(g), cands)
+
     def test_range_validation(self):
         with pytest.raises(GraphError):
             connected_level(0)
@@ -77,6 +128,67 @@ class TestExpansion:
             connected_level(11)
         with pytest.raises(GraphError):
             ensure_level(0, workers=2)
+
+
+class FakeContext:
+    """Stands in for a multiprocessing context: records pool sizes and maps in
+    this process, so no worker is started."""
+
+    def __init__(self, method):
+        assert method == "fork"
+        self.sizes = []
+
+    def Pool(self, workers):
+        self.sizes.append(workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return [fn(c) for c in chunks]
+
+
+class TestWorkerBounds:
+    @pytest.fixture
+    def fake_pool(self, monkeypatch, levels7):
+        contexts = []
+
+        def get_context(method):
+            contexts.append(FakeContext(method))
+            return contexts[-1]
+
+        monkeypatch.setattr(enumeration, "get_context", get_context)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+        saved = dict(enumeration._levels)
+        enumeration._levels.clear()
+        enumeration._levels[1] = saved[1]
+        yield contexts
+        enumeration._levels.clear()
+        enumeration._levels.update(saved)
+
+    @pytest.mark.parametrize("workers", [0, -1, -100000])
+    def test_rejects_fewer_than_one(self, workers):
+        with pytest.raises(GraphError, match="workers must be at least 1"):
+            ensure_level(3, workers=workers)
+        with pytest.raises(GraphError, match="workers must be at least 1"):
+            ensure_level(1, workers=workers)
+
+    def test_caps_at_cpu_count(self, fake_pool, levels7):
+        got = ensure_level(7, workers=100000)
+        assert [c.sizes for c in fake_pool] == [[3]]
+        assert [to_graph6(g) for g in got] == [to_graph6(g) for g in levels7[7]]
+
+    def test_keeps_count_within_cpu_count(self, fake_pool):
+        ensure_level(7, workers=2)
+        assert [c.sizes for c in fake_pool] == [[2]]
+
+    def test_single_worker_starts_no_pool(self, fake_pool):
+        ensure_level(7, workers=1)
+        assert fake_pool == []
 
 
 class TestFilterFree:
