@@ -27,21 +27,17 @@ from edgeconn import (
     CHARACTERIZED_PAIRS,
     TARGETS,
     characterized_sets,
-    cut_interior_property,
-    edge_connectivity,
-    ensure_level,
+    condition_soundness,
+    cut_interior_sweep,
     intersect_characterizations,
     maximality_sweep,
-    min_degree,
     mine_witness,
     parse_pattern_set,
     pattern_equivalent,
     recognize_pattern,
     run_selftest,
-    to_graph6,
     verify_pattern_set,
 )
-from edgeconn.conditions import condition_implication_rows
 
 # strict extensions of the characterized sets, checked through the sweep
 EXTENSION_PAIRS = ("H1,P6", "Z3,P6", "Z2,P7", "Z2,T1_1_4")
@@ -57,8 +53,7 @@ def parse_args(argv=None):
     ap.add_argument("--sweep-n-max", type=int, default=8,
                     help="depth for the condition and cut-interior sweeps (default 8)")
     ap.add_argument("--out-dir", default="reports", help="report directory")
-    ap.add_argument("--workers", type=int,
-                    default=max(1, int(os.environ.get("EDGECONN_WORKERS", "1") or 1)))
+    ap.add_argument("--workers", type=int, default=os.environ.get("EDGECONN_WORKERS", "1"))
     return ap.parse_args(argv)
 
 
@@ -121,57 +116,21 @@ def section_witnesses(out_dir: Path, n_max: int, workers: int) -> bool:
 
 
 def section_conditions(out_dir: Path, n_max: int, workers: int) -> bool:
-    t0 = time.perf_counter()
-    scanned = 0
-    fired = 0
-    violations = []
-    for n in range(2, n_max + 1):
-        for g in ensure_level(n, workers=workers):
-            scanned += 1
-            for row in condition_implication_rows(g):
-                fired += row.holds
-                if not row.sound:
-                    violations.append(
-                        {"graph6": to_graph6(g), "condition": row.condition.name}
-                    )
-    payload = {
-        "claim_id": f"conditions:soundness:n<={n_max}",
-        "n_max": n_max,
-        "graphs_scanned": scanned,
-        "hypotheses_fired": fired,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-        "counterexamples": violations,
-    }
+    payload = condition_soundness(n_max, workers)
     write_json(out_dir / "condition_soundness.json", payload)
-    print(f"  {payload['claim_id']}: {len(violations)} violations, "
-          f"{fired} hypothesis hits over {scanned} graphs")
-    return not violations
+    bad = payload["counterexamples"]
+    print(f"  {payload['claim_id']}: {len(bad)} violations, {payload['hypotheses_fired']}"
+          f" hypothesis hits over {payload['graphs_scanned']} graphs")
+    return not bad
 
 
 def section_cut_interiors(out_dir: Path, n_max: int, workers: int) -> bool:
-    t0 = time.perf_counter()
-    scanned = 0
-    gap = []
-    failures = []
-    for n in range(2, n_max + 1):
-        for g in ensure_level(n, workers=workers):
-            scanned += 1
-            if edge_connectivity(g) < min_degree(g):
-                gap.append(to_graph6(g))
-                if not cut_interior_property(g):
-                    failures.append(to_graph6(g))
-    payload = {
-        "claim_id": f"cut_interior:n<={n_max}",
-        "n_max": n_max,
-        "graphs_scanned": scanned,
-        "gap_graphs": len(gap),
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-        "counterexamples": failures,
-    }
+    payload = cut_interior_sweep(n_max, workers)
     write_json(out_dir / "cut_interior.json", payload)
-    print(f"  {payload['claim_id']}: {len(gap)} gap graphs, "
-          f"{len(failures)} without two-sided interiors")
-    return not failures
+    bad = payload["counterexamples"]
+    print(f"  {payload['claim_id']}: {payload['gap_graphs']} gap graphs, "
+          f"{len(bad)} without two-sided interiors")
+    return not bad
 
 
 def section_intersection(out_dir: Path) -> bool:
@@ -196,8 +155,7 @@ def section_intersection(out_dir: Path) -> bool:
     )
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
+def run_campaign(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -239,9 +197,17 @@ def main(argv=None) -> int:
     return 0 if all_ok else 2
 
 
-if __name__ == "__main__":
+def main(argv=None) -> int:
     try:
-        sys.exit(main())
+        args = parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 1
+    try:
+        return run_campaign(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        sys.exit(1)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

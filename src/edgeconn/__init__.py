@@ -53,11 +53,9 @@ from .conditions import (
 from .enumeration import (
     MAX_ENUM_ORDER,
     connected_level,
-    ensure_level,
-    enumerate_connected,
     expand_children,
-    filter_free,
     read_graph6_stream,
+    walk,
     write_graph6_stream,
 )
 from .atlas import (
@@ -87,12 +85,12 @@ from .verify import (
     VerdictRecord,
     WitnessRecord,
     characterized_sets,
+    condition_soundness,
+    cut_interior_sweep,
     intersect_characterizations,
     maximality_sweep,
     mine_witness,
-    verify_pair,
     verify_pattern_set,
-    verify_single,
 )
 from .selftest import run_selftest
 

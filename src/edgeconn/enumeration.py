@@ -116,19 +116,6 @@ def expand_children(parent: Graph) -> list[Graph]:
     return out
 
 
-def connected_level(n: int) -> tuple[Graph, ...]:
-    """Return (and cache) all connected graphs on n vertices, one per class."""
-    if not 1 <= n <= MAX_ENUM_ORDER:
-        raise GraphError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}, got {n}")
-    if n not in _levels:
-        parents = connected_level(n - 1)
-        level: list[Graph] = []
-        for parent in parents:
-            level.extend(expand_children(parent))
-        _levels[n] = tuple(level)
-    return _levels[n]
-
-
 def _expand_parent_chunk(chunk) -> list[str]:
     out = []
     for line in chunk:
@@ -137,44 +124,53 @@ def _expand_parent_chunk(chunk) -> list[str]:
     return out
 
 
-def ensure_level(n: int, workers: int = 1) -> tuple[Graph, ...]:
-    """connected_level, with optional process-parallel expansion when uncached.
+def connected_level(n: int, workers: int = 1) -> tuple[Graph, ...]:
+    """Return (and cache) all connected graphs on n vertices, one per class.
 
-    Workers split the parent list into ordered chunks, so the merged result
-    is byte-identical to the sequential one; worker count only changes wall
-    time.  A count below 1 is an error, and one above ``os.cpu_count()`` is
-    lowered to it, so no input starts more processes than the machine has
+    An uncached level with at least 64 parents is expanded by ``workers``
+    processes, which split the parent list into ordered chunks, so the merged
+    result is byte-identical to the sequential one; worker count only changes
+    wall time.  A count below 1 is an error, and one above ``os.cpu_count()``
+    is lowered to it, so no input starts more processes than the machine has
     processors.
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise GraphError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}, got {n}")
     if workers < 1:
         raise GraphError(f"workers must be at least 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
     if n in _levels:
         return _levels[n]
-    parents = ensure_level(n - 1, workers)
-    if workers <= 1 or len(parents) < 64:
-        return connected_level(n)
-    lines = [to_graph6(p) for p in parents]
-    step = max(1, len(lines) // (workers * 8))
-    chunks = [lines[i:i + step] for i in range(0, len(lines), step)]
-    with get_context("fork").Pool(workers) as pool:
-        parts = pool.map(_expand_parent_chunk, chunks)
-    _levels[n] = tuple(from_graph6(s) for part in parts for s in part)
+    workers = min(workers, os.cpu_count() or 1)
+    parents = connected_level(n - 1, workers)
+    if workers > 1 and len(parents) >= 64:
+        lines = [to_graph6(p) for p in parents]
+        step = max(1, len(lines) // (workers * 8))
+        chunks = [lines[i:i + step] for i in range(0, len(lines), step)]
+        with get_context("fork").Pool(workers) as pool:
+            parts = pool.map(_expand_parent_chunk, chunks)
+        _levels[n] = tuple(from_graph6(s) for part in parts for s in part)
+    else:
+        level: list[Graph] = []
+        for parent in parents:
+            level.extend(expand_children(parent))
+        _levels[n] = tuple(level)
     return _levels[n]
 
 
-def enumerate_connected(n: int) -> Iterator[Graph]:
-    """Yield every connected graph on n vertices exactly once, in a fixed order."""
-    yield from connected_level(n)
+def walk(n_max: int, patterns=None, workers: int = 1) -> Iterator[Graph]:
+    """Yield the connected graphs of orders 2..n_max, level by level.
 
-
-def filter_free(graphs: Iterable[Graph], patterns) -> Iterator[Graph]:
-    """Yield only the graphs with no induced copy of any pattern."""
-    for g in graphs:
-        if is_free(g, patterns):
-            yield g
+    With ``patterns`` given, only the graphs with no induced copy of any
+    pattern are kept.  Every exhaustive scan goes through this one walk.  The
+    order bound is checked here, when the walk is made, not on its first
+    step.
+    """
+    if not 2 <= n_max <= MAX_ENUM_ORDER:
+        raise GraphError(f"scans support 2 <= n_max <= {MAX_ENUM_ORDER}, got {n_max}")
+    graphs = (g for n in range(2, n_max + 1) for g in connected_level(n, workers))
+    if patterns is None:
+        return graphs
+    return (g for g in graphs if is_free(g, patterns))
 
 
 def read_graph6_stream(path) -> Iterator[Graph]:

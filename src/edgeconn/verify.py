@@ -5,8 +5,9 @@ invariant equalities": edge connectivity = minimum degree, vertex = edge
 connectivity, or vertex connectivity = minimum degree.  The scanner walks
 all connected graphs up to a cutoff order, keeps the pattern-free ones, and
 records each equality violation as a graph6 counterexample.  The module
-also mines witnesses for pattern sets outside the characterized lists and
-intersects two characterized lists into the candidates for the combined
+also mines witnesses for pattern sets outside the characterized lists, runs
+the sufficient-condition and minimum-cut sweeps over all connected graphs,
+and intersects two characterized lists into the candidates for the combined
 equality.
 """
 
@@ -17,9 +18,15 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .atlas import known_witness, parse_pattern_set, parse_pattern_token, recognize_pattern
-from .enumeration import ensure_level
-from .graphs import GraphError, from_graph6, is_connected, to_graph6
-from .invariants import edge_connectivity, min_degree, vertex_connectivity
+from .conditions import condition_implication_rows
+from .enumeration import walk
+from .graphs import from_graph6, is_connected, to_graph6
+from .invariants import (
+    cut_interior_property,
+    edge_connectivity,
+    min_degree,
+    vertex_connectivity,
+)
 from .iso import (
     Pattern,
     PatternSet,
@@ -92,41 +99,23 @@ class VerdictRecord:
 
 def _scan(patterns: PatternSet, target: str, n_max: int, workers: int) -> VerdictRecord:
     _check_target(target)
-    if not 2 <= n_max <= 10:
-        raise GraphError(f"scans support 2 <= n_max <= 10, got {n_max}")
+    graphs = walk(n_max, patterns, workers)
     _, _, left, right = TARGETS[target]
     t0 = time.perf_counter()
     scanned = 0
     bad: list[str] = []
-    for n in range(2, n_max + 1):
-        for g in ensure_level(n, workers=workers):
-            if not is_free(g, patterns):
-                continue
-            scanned += 1
-            if left(g) != right(g):
-                bad.append(to_graph6(g))
+    for g in graphs:
+        scanned += 1
+        if left(g) != right(g):
+            bad.append(to_graph6(g))
     elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     claim_id = f"{target}:{patterns.label}"
     return VerdictRecord(claim_id, n_max, scanned, elapsed_ms, tuple(bad))
 
 
-def verify_single(s: Pattern, n_max: int, target: str = "kappa_prime_delta",
-                  workers: int = 1) -> VerdictRecord:
-    """Scan all connected s-free graphs up to n_max against the target equality."""
-    return _scan(PatternSet((s,)), target, n_max, workers)
-
-
-def verify_pair(pair: PatternSet, n_max: int, target: str = "kappa_prime_delta",
-                workers: int = 1) -> VerdictRecord:
-    """Scan all connected pair-free graphs up to n_max against the target equality."""
-    if len(pair.patterns) != 2:
-        raise ValueError(f"expected a two-pattern set, got {pair.label}")
-    return _scan(pair, target, n_max, workers)
-
-
 def verify_pattern_set(patterns: PatternSet, n_max: int, target: str = "kappa_prime_delta",
                        workers: int = 1) -> VerdictRecord:
-    """Scan against the target equality for a pattern set of any size."""
+    """Scan all connected pattern-free graphs up to n_max against the target equality."""
     return _scan(patterns, target, n_max, workers)
 
 
@@ -176,20 +165,16 @@ def mine_witness(pair: PatternSet, n_max: int, workers: int = 1) -> WitnessRecor
     is scanned in its deterministic order.  Returns None when no witness of
     order <= n_max exists.
     """
-    if not 2 <= n_max <= 10:
-        raise GraphError(f"witness mining supports 2 <= n_max <= 10, got {n_max}")
+    graphs = walk(n_max, pair, workers)  # made first so a bad n_max raises on either route
     member = known_witness(pair)
     if member is not None and member.graph.n <= n_max:
         g = member.graph
         return WitnessRecord(pair, to_graph6(g), edge_connectivity(g), min_degree(g), "family")
-    for n in range(2, n_max + 1):
-        for g in ensure_level(n, workers=workers):
-            if not is_free(g, pair):
-                continue
-            kp = edge_connectivity(g)
-            dd = min_degree(g)
-            if kp < dd:
-                return WitnessRecord(pair, to_graph6(g), kp, dd, "enumerated")
+    for g in graphs:
+        kp = edge_connectivity(g)
+        dd = min_degree(g)
+        if kp < dd:
+            return WitnessRecord(pair, to_graph6(g), kp, dd, "enumerated")
     return None
 
 
@@ -216,6 +201,61 @@ def maximality_sweep(base, extensions, n_max: int,
                     f"extension {ext.label} is at or below characterized set {c.label}"
                 )
     return [(ext, mine_witness(ext, n_max, workers=workers)) for ext in extensions]
+
+
+def condition_soundness(n_max: int, workers: int = 1) -> dict:
+    """Check every sufficient condition against the equality it claims.
+
+    Walks all connected graphs of order 2..n_max; a condition that holds on
+    a graph with edge connectivity below minimum degree is a counterexample.
+    """
+    graphs = walk(n_max, workers=workers)
+    t0 = time.perf_counter()
+    scanned = 0
+    fired = 0
+    violations = []
+    for g in graphs:
+        scanned += 1
+        for row in condition_implication_rows(g):
+            fired += row.holds
+            if not row.sound:
+                violations.append({"graph6": to_graph6(g), "condition": row.condition.name})
+    return {
+        "claim_id": f"conditions:soundness:n<={n_max}",
+        "n_max": n_max,
+        "graphs_scanned": scanned,
+        "hypotheses_fired": fired,
+        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+        "counterexamples": violations,
+    }
+
+
+def cut_interior_sweep(n_max: int, workers: int = 1) -> dict:
+    """Check that minimum cuts leave interior structure on both sides.
+
+    Walks all connected graphs of order 2..n_max; a graph with edge
+    connectivity below minimum degree whose recorded minimum cut fails the
+    interior property is a counterexample.
+    """
+    graphs = walk(n_max, workers=workers)
+    t0 = time.perf_counter()
+    scanned = 0
+    gap = 0
+    failures = []
+    for g in graphs:
+        scanned += 1
+        if edge_connectivity(g) < min_degree(g):
+            gap += 1
+            if not cut_interior_property(g):
+                failures.append(to_graph6(g))
+    return {
+        "claim_id": f"cut_interior:n<={n_max}",
+        "n_max": n_max,
+        "graphs_scanned": scanned,
+        "gap_graphs": gap,
+        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+        "counterexamples": failures,
+    }
 
 
 # ---------------------------------------------------------------------------

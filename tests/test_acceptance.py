@@ -17,23 +17,20 @@ from edgeconn import (
     bridged_triangles,
     canonical_form,
     characterized_sets,
+    condition_soundness,
     connected_level,
-    cut_interior_property,
+    cut_interior_sweep,
     edge_connectivity,
-    ensure_level,
     from_graph6,
     intersect_characterizations,
     is_free,
     min_degree,
     mine_witness,
     parse_pattern_set,
-    parse_pattern_token,
     pattern_equivalent,
     vertex_connectivity,
-    verify_pair,
-    verify_single,
+    verify_pattern_set,
 )
-from edgeconn.conditions import condition_implication_rows
 from edgeconn.oracles import (
     connected_class_count_oracle,
     degree_sequence_census,
@@ -42,17 +39,16 @@ from edgeconn.oracles import (
 )
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("EDGECONN_WORKERS", "1")))
-    except ValueError:
-        return 1
+# free graphs scanned at n <= 9, as in the committed reports/equality_scans.json;
+# P4's count is the sum of OEIS A000669 over n = 2..9
+DEEP_SCANNED = {"P4": 1170, "H1,P5": 35117, "Z2,P6": 26639, "Z2,T1_1_3": 25160}
 
 
 @pytest.fixture(scope="module")
 def deep_levels():
     """Warm the enumeration cache through n=9 once for the whole battery."""
-    return {n: ensure_level(n, workers=_workers()) for n in range(1, 10)}
+    workers = int(os.environ.get("EDGECONN_WORKERS", "1"))
+    return {n: connected_level(n, workers) for n in range(1, 10)}
 
 
 def _announce(capsys, num: int, ok: bool, detail: str):
@@ -110,11 +106,12 @@ def test_criterion_02_enumerator_counts(capsys):
 def test_criterion_03_single_pattern_characterization(capsys, deep_levels):
     """The path on four vertices is exactly the single-pattern boundary."""
     t0 = time.perf_counter()
-    held = verify_single(parse_pattern_token("P4"), 9)
-    broken = verify_single(parse_pattern_token("P5"), 8)
+    held = verify_pattern_set(parse_pattern_set("P4"), 9)
+    broken = verify_pattern_set(parse_pattern_set("P5"), 8)
     elapsed = time.perf_counter() - t0
     ok = (
         held.held
+        and held.graphs_scanned == DEEP_SCANNED["P4"]
         and not broken.held
         and len(broken.counterexamples) == 16
         and broken.counterexamples[0] == "EqhO"
@@ -133,10 +130,10 @@ def test_criterion_04_characterized_pairs_hold(capsys, deep_levels):
     t0 = time.perf_counter()
     outcomes = []
     for text in CHARACTERIZED_PAIRS["kappa_prime_delta"]:
-        rec = verify_pair(parse_pattern_set(text), 9)
+        rec = verify_pattern_set(parse_pattern_set(text), 9)
         outcomes.append((text, rec))
     elapsed = time.perf_counter() - t0
-    ok = all(rec.held for _, rec in outcomes)
+    ok = all(rec.held and rec.graphs_scanned == DEEP_SCANNED[text] for text, rec in outcomes)
     scanned = ", ".join(f"{text}: {rec.graphs_scanned}" for text, rec in outcomes)
     detail = (
         f"zero counterexamples with n<=9 for each characterized pair"
@@ -173,26 +170,17 @@ def test_criterion_05_witnesses_beyond_the_boundary(capsys, deep_levels):
     assert ok, detail
 
 
-def test_criterion_06_sufficient_conditions_sound(capsys, deep_levels):
+def test_criterion_06_sufficient_conditions_sound(capsys):
     """None of the eight hypotheses ever fires on an inequality graph, n <= 8."""
     t0 = time.perf_counter()
-    violations = []
-    fired = 0
-    total = 0
-    for n in range(2, 9):
-        for g in deep_levels[n]:
-            total += 1
-            for row in condition_implication_rows(g):
-                if row.holds:
-                    fired += 1
-                if not row.sound:
-                    violations.append((n, row.condition.name))
+    sweep = condition_soundness(8)
     elapsed = time.perf_counter() - t0
-    ok = not violations and total == 12112
+    violations = sweep["counterexamples"]
+    ok = not violations and sweep["graphs_scanned"] == 12112
     detail = (
-        f"eight sufficient conditions fired {fired} times over {total} connected"
-        f" graphs with n<=8 and never against the equality,"
-        f" violations: {len(violations)}, {elapsed:.0f}s"
+        f"eight sufficient conditions fired {sweep['hypotheses_fired']} times over"
+        f" {sweep['graphs_scanned']} connected graphs with n<=8 and never against"
+        f" the equality, violations: {len(violations)}, {elapsed:.0f}s"
     )
     _announce(capsys, 6, ok, detail)
     assert ok, detail
@@ -204,9 +192,7 @@ def test_criterion_07_other_equalities_characterized(capsys, deep_levels):
     failures = []
     for target in ("kappa_kappa_prime", "kappa_delta"):
         for ps in characterized_sets(target):
-            rec = verify_single(ps.patterns[0], 8, target=target) if len(
-                ps.patterns
-            ) == 1 else verify_pair(ps, 8, target=target)
+            rec = verify_pattern_set(ps, 8, target=target)
             if not rec.held:
                 failures.append(rec.claim_id)
     elapsed = time.perf_counter() - t0
@@ -239,18 +225,13 @@ def test_criterion_08_bowtie_degree_sequence_unique(capsys):
     assert ok, detail
 
 
-def test_criterion_09_minimum_cuts_leave_interiors(capsys, deep_levels):
+def test_criterion_09_minimum_cuts_leave_interiors(capsys):
     """Whenever kappa' < delta, both cut sides keep interior structure."""
     t0 = time.perf_counter()
-    gap = 0
-    failures = 0
-    for n in range(2, 9):
-        for g in deep_levels[n]:
-            if edge_connectivity(g) < min_degree(g):
-                gap += 1
-                if not cut_interior_property(g):
-                    failures += 1
+    sweep = cut_interior_sweep(8)
     elapsed = time.perf_counter() - t0
+    gap = sweep["gap_graphs"]
+    failures = len(sweep["counterexamples"])
     ok = failures == 0 and gap > 0
     detail = (
         f"all {gap} connected graphs with n<=8 showing kappa'<delta keep an"

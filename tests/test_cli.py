@@ -17,7 +17,7 @@ except ModuleNotFoundError:  # Python < 3.11
     tomllib = None
 
 from edgeconn import bridged_triangles, connected_level, to_graph6
-from edgeconn.cli import RunConfig, main, run
+from edgeconn.cli import main
 
 # the constructor's labeling of the bridged triangles; the enumerator emits
 # the same isomorphism class as 'EqhO'
@@ -299,14 +299,6 @@ class TestUsage:
         capsys.readouterr()
         assert code == 0
 
-    def test_run_config_programmatic(self, capsys):
-        code = run(RunConfig(subcommand="verify", patterns="P4", n_max=5))
-        out = capsys.readouterr().out
-        assert code == 0
-        record = json.loads(out)
-        assert record["claim_id"] == "kappa_prime_delta:P4"
-        assert record["counterexamples"] == []
-
 
 class TestSubprocessEntry:
     def test_module_invocation_selftest(self):
@@ -327,6 +319,23 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.split()) == 853
+
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "argument --workers: invalid int value: 'abc'"),
+        ("0", "error: workers must be at least 1, got 0"),
+    ], ids=["not-an-integer", "zero"])
+    def test_bad_workers_env_exits_one(self, raw, message):
+        proc = invoke_subprocess("enumerate", "--n", "3", env_extra={"EDGECONN_WORKERS": raw})
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert message in proc.stderr
+
+    def test_workers_flag_overrides_bad_env(self):
+        proc = invoke_subprocess(
+            "enumerate", "--n", "3", "--workers", "2", env_extra={"EDGECONN_WORKERS": "abc"}
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["Bo", "Bw"]
 
     def test_console_script_registered(self):
         scripts = declared_scripts()

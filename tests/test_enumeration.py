@@ -1,23 +1,25 @@
-"""Connected-graph enumerator: counts, uniqueness, parallel merge, streams."""
+"""Connected-graph enumerator: counts, uniqueness, parallel merge, walks, streams."""
 
 import hashlib
+from collections import defaultdict
 
 import pytest
 
 from edgeconn import (
+    TARGETS,
     GraphError,
     Graph6Error,
     canonical_form,
+    characterized_sets,
     complete_graph,
     connected_level,
-    ensure_level,
-    enumerate_connected,
     expand_children,
-    filter_free,
+    is_free,
     path_graph,
     read_graph6_stream,
     star,
     to_graph6,
+    walk,
     write_graph6_stream,
 )
 from edgeconn import enumeration
@@ -85,7 +87,7 @@ class TestExpansion:
         try:
             enumeration._levels.clear()
             enumeration._levels[1] = saved[1]
-            par = ensure_level(7, workers=2)
+            par = connected_level(7, workers=2)
         finally:
             enumeration._levels.clear()
             enumeration._levels.update(saved)
@@ -127,7 +129,7 @@ class TestExpansion:
         with pytest.raises(GraphError):
             connected_level(11)
         with pytest.raises(GraphError):
-            ensure_level(0, workers=2)
+            connected_level(0, workers=2)
 
 
 class FakeContext:
@@ -173,37 +175,63 @@ class TestWorkerBounds:
     @pytest.mark.parametrize("workers", [0, -1, -100000])
     def test_rejects_fewer_than_one(self, workers):
         with pytest.raises(GraphError, match="workers must be at least 1"):
-            ensure_level(3, workers=workers)
+            connected_level(3, workers=workers)
         with pytest.raises(GraphError, match="workers must be at least 1"):
-            ensure_level(1, workers=workers)
+            connected_level(1, workers=workers)
 
     def test_caps_at_cpu_count(self, fake_pool, levels7):
-        got = ensure_level(7, workers=100000)
+        got = connected_level(7, workers=100000)
         assert [c.sizes for c in fake_pool] == [[3]]
         assert [to_graph6(g) for g in got] == [to_graph6(g) for g in levels7[7]]
 
     def test_keeps_count_within_cpu_count(self, fake_pool):
-        ensure_level(7, workers=2)
+        connected_level(7, workers=2)
         assert [c.sizes for c in fake_pool] == [[2]]
 
     def test_single_worker_starts_no_pool(self, fake_pool):
-        ensure_level(7, workers=1)
+        connected_level(7, workers=1)
         assert fake_pool == []
 
 
 class TestFilterFree:
-    def test_claw_free_on_four_vertices(self, levels6):
-        kept = list(filter_free(levels6[4], star(3)))
+    def test_claw_free_on_four_vertices(self):
+        kept = [g for g in walk(4, star(3)) if g.n == 4]
         assert len(kept) == 5
 
-    def test_forbidding_a_vertex_empties(self, levels6):
+    def test_forbidding_a_vertex_empties(self):
         from edgeconn.graphs import Graph
 
-        assert list(filter_free(levels6[4], Graph(1, (0,)))) == []
+        assert list(walk(4, Graph(1, (0,)))) == []
 
     def test_oversized_pattern_is_vacuous(self, levels6):
-        kept = list(filter_free(levels6[5], complete_graph(7)))
-        assert len(kept) == len(levels6[5])
+        kept = [g for g in walk(5, complete_graph(7)) if g.n == 5]
+        assert len(kept) == len(levels6[5]) == 21
+
+
+class TestWalk:
+    def test_unfiltered_walk_is_the_levels_in_order(self):
+        assert list(walk(4)) == [g for n in (2, 3, 4) for g in connected_level(n)]
+
+    def test_free_graphs_match_filtered_levels(self, levels8):
+        # the guard any pruned walk has to pass: same graphs, same order, per order;
+        # a set characterized for two targets is checked once
+        sets = {ps.form_key(): ps for t in TARGETS for ps in characterized_sets(t)}
+        assert len(sets) == 10
+        for ps in sets.values():
+            got = defaultdict(list)
+            for g in walk(8, ps):
+                got[g.n].append(g)
+            for n in range(2, 9):
+                want = [g for g in levels8[n] if is_free(g, ps)]
+                assert len(got[n]) == len(want), (ps.label, n)
+                assert got[n] == want, (ps.label, n)
+
+    @pytest.mark.parametrize("n_max", [-1, 0, 1, 11, 12])
+    def test_bad_order_bound_raises_at_call(self, n_max):
+        with pytest.raises(GraphError, match="scans support 2 <= n_max <= 10"):
+            walk(n_max)
+        with pytest.raises(GraphError, match="scans support 2 <= n_max <= 10"):
+            walk(n_max, star(3))
 
 
 class TestStreams:
@@ -226,6 +254,3 @@ class TestStreams:
         path.write_text("Bw\n:sparse\n")
         with pytest.raises(Graph6Error, match=r"bad\.g6:2: "):
             list(read_graph6_stream(path))
-
-    def test_enumerate_connected_matches_level(self):
-        assert list(enumerate_connected(4)) == list(connected_level(4))

@@ -15,14 +15,11 @@ from edgeconn import (
     maximality_sweep,
     mine_witness,
     parse_pattern_set,
-    parse_pattern_token,
     pattern_equivalent,
     pattern_set,
     pattern_preceq,
     to_graph6,
-    verify_pair,
     verify_pattern_set,
-    verify_single,
 )
 
 
@@ -40,14 +37,14 @@ class TestTargets:
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError):
-            verify_single(parse_pattern_token("P4"), 5, target="kappa_prime")
+            verify_pattern_set(parse_pattern_set("P4"), 5, target="kappa_prime")
         with pytest.raises(ValueError):
             characterized_sets("delta_delta")
 
 
 class TestVerdicts:
     def test_single_pattern_small_scan(self):
-        rec = verify_single(parse_pattern_token("P4"), 6)
+        rec = verify_pattern_set(parse_pattern_set("P4"), 6)
         assert rec.claim_id == "kappa_prime_delta:P4"
         assert rec.held and rec.counterexamples == ()
         assert rec.n_max == 6
@@ -55,29 +52,27 @@ class TestVerdicts:
         assert rec.elapsed_ms >= 0
 
     def test_known_counterexamples_reported(self):
-        rec = verify_single(parse_pattern_token("P5"), 6)
+        rec = verify_pattern_set(parse_pattern_set("P5"), 6)
         assert not rec.held
         assert rec.counterexamples == ("EqhO",)
 
-    def test_pair_scan_and_arity_check(self):
-        rec = verify_pair(parse_pattern_set("Z2,P6"), 6)
+    def test_pair_scan(self):
+        rec = verify_pattern_set(parse_pattern_set("Z2,P6"), 6)
         assert rec.claim_id == "kappa_prime_delta:{Z2,P6}"
         assert rec.held
-        with pytest.raises(ValueError):
-            verify_pair(parse_pattern_set("P4"), 6)
 
     def test_other_targets(self):
-        rec = verify_single(parse_pattern_token("P3"), 6, target="kappa_delta")
+        rec = verify_pattern_set(parse_pattern_set("P3"), 6, target="kappa_delta")
         assert rec.claim_id == "kappa_delta:P3"
         assert rec.held
-        rec2 = verify_single(parse_pattern_token("P4"), 6, target="kappa_kappa_prime")
+        rec2 = verify_pattern_set(parse_pattern_set("P4"), 6, target="kappa_kappa_prime")
         assert not rec2.held
 
     def test_scan_bounds_checked(self):
         with pytest.raises(GraphError):
-            verify_single(parse_pattern_token("P4"), 1)
+            verify_pattern_set(parse_pattern_set("P4"), 1)
         with pytest.raises(GraphError):
-            verify_single(parse_pattern_token("P4"), 11)
+            verify_pattern_set(parse_pattern_set("P4"), 11)
 
     def test_as_dict_schema(self):
         rec = verify_pattern_set(parse_pattern_set("K3"), 5)
