@@ -28,6 +28,7 @@ from edgeconn import (
     TARGETS,
     characterized_sets,
     condition_soundness,
+    connected_level,
     cut_interior_sweep,
     intersect_characterizations,
     maximality_sweep,
@@ -37,6 +38,7 @@ from edgeconn import (
     recognize_pattern,
     run_selftest,
     verify_pattern_set,
+    walk,
 )
 
 # strict extensions of the characterized sets, checked through the sweep
@@ -74,6 +76,14 @@ def section_selftest(out_dir: Path) -> bool:
     return all(row["passed"] for row in payload)
 
 
+def scan_line(rec) -> str:
+    """One summary line for a scan record, naming each of its tallies."""
+    mark = "held" if rec.held else f"{len(rec.counterexamples)} counterexamples"
+    counts = "".join(f", {count} {name}" for name, count in rec.tallies)
+    return (f"  {rec.claim_id}: {mark} "
+            f"({rec.graphs_scanned} graphs scanned{counts}, {rec.elapsed_ms:.0f} ms)")
+
+
 def section_scans(out_dir: Path, n_max: int, workers: int) -> bool:
     records = []
     held = True
@@ -82,9 +92,7 @@ def section_scans(out_dir: Path, n_max: int, workers: int) -> bool:
             rec = verify_pattern_set(ps, n_max, target, workers=workers)
             records.append(rec.as_dict())
             held &= rec.held
-            mark = "held" if rec.held else f"{len(rec.counterexamples)} counterexamples"
-            print(f"  {rec.claim_id}: {mark} "
-                  f"({rec.graphs_scanned} free graphs, {rec.elapsed_ms:.0f} ms)")
+            print(scan_line(rec))
     write_json(out_dir / "equality_scans.json", records)
     return held
 
@@ -115,22 +123,10 @@ def section_witnesses(out_dir: Path, n_max: int, workers: int) -> bool:
     return complete
 
 
-def section_conditions(out_dir: Path, n_max: int, workers: int) -> bool:
-    payload = condition_soundness(n_max, workers)
-    write_json(out_dir / "condition_soundness.json", payload)
-    bad = payload["counterexamples"]
-    print(f"  {payload['claim_id']}: {len(bad)} violations, {payload['hypotheses_fired']}"
-          f" hypothesis hits over {payload['graphs_scanned']} graphs")
-    return not bad
-
-
-def section_cut_interiors(out_dir: Path, n_max: int, workers: int) -> bool:
-    payload = cut_interior_sweep(n_max, workers)
-    write_json(out_dir / "cut_interior.json", payload)
-    bad = payload["counterexamples"]
-    print(f"  {payload['claim_id']}: {payload['gap_graphs']} gap graphs, "
-          f"{len(bad)} without two-sided interiors")
-    return not bad
+def section_sweep(out_dir: Path, name: str, rec) -> bool:
+    write_json(out_dir / f"{name}.json", rec.as_dict())
+    print(scan_line(rec))
+    return rec.held
 
 
 def section_intersection(out_dir: Path) -> bool:
@@ -156,6 +152,10 @@ def section_intersection(out_dir: Path) -> bool:
 
 
 def run_campaign(args) -> int:
+    # the library's own checks, made before any section writes a report
+    walk(args.n_max)
+    walk(args.sweep_n_max)
+    connected_level(1, args.workers)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -176,15 +176,11 @@ def run_campaign(args) -> int:
         ("extension_witnesses", section_witnesses(out_dir, args.n_max, args.workers))
     )
     print(f"[4/6] sufficient-condition soundness, n <= {args.sweep_n_max}")
-    sections.append(
-        ("condition_soundness",
-         section_conditions(out_dir, args.sweep_n_max, args.workers))
-    )
+    rec = condition_soundness(args.sweep_n_max, args.workers)
+    sections.append(("condition_soundness", section_sweep(out_dir, "condition_soundness", rec)))
     print(f"[5/6] minimum-cut interiors, n <= {args.sweep_n_max}")
-    sections.append(
-        ("cut_interior",
-         section_cut_interiors(out_dir, args.sweep_n_max, args.workers))
-    )
+    rec = cut_interior_sweep(args.sweep_n_max, args.workers)
+    sections.append(("cut_interior", section_sweep(out_dir, "cut_interior", rec)))
     print("[6/6] characterization intersection")
     sections.append(("intersection", section_intersection(out_dir)))
 

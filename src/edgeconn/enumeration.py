@@ -26,10 +26,10 @@ import os
 from collections.abc import Iterable, Iterator
 from multiprocessing import get_context
 
-from .graphs import Graph, GraphError, Graph6Error, from_graph6, to_graph6
+from .graphs import Graph, GraphError, Graph6Error, component_mask, from_graph6, to_graph6
 from .iso import _canonical_rows, is_free
 
-MAX_ENUM_ORDER = 10
+MAX_ENUM_ORDER = 9
 
 _levels: dict[int, tuple[Graph, ...]] = {1: (Graph(1, (0,)),)}
 
@@ -39,18 +39,8 @@ def _non_cut_vertices(n: int, adj, candidates) -> list[int]:
     out = []
     full = (1 << n) - 1
     for v in candidates:
-        allowed = full ^ (1 << v)
-        seen = allowed & -allowed
-        frontier = seen
-        while frontier:
-            grow = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                grow |= adj[b.bit_length() - 1]
-            frontier = grow & allowed & ~seen
-            seen |= frontier
-        if seen == allowed:
+        rest = full ^ (1 << v)
+        if component_mask(adj, 0 if v else 1, rest) == rest:  # search from the lowest kept vertex
             out.append(v)
     return out
 

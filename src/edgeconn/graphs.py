@@ -130,19 +130,16 @@ def _iterable_to_mask(n: int, vertices: Iterable[int]) -> int:
     return mask
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Return g minus vertex v, remaining vertices relabeled in order."""
-    return induced(g, ((1 << g.n) - 1) ^ (1 << v))
-
-
 def component_mask(adj, start: int, allowed: int) -> int:
     """Return the bit mask of the component of ``start`` within ``allowed``."""
     seen = 1 << start
     frontier = seen
     while frontier:
         grow = 0
-        for v in _bits(frontier):
-            grow |= adj[v]
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            grow |= adj[b.bit_length() - 1]
         frontier = grow & allowed & ~seen
         seen |= frontier
     return seen

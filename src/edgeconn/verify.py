@@ -75,13 +75,18 @@ def characterized_sets(target: str) -> list[PatternSet]:
 
 @dataclass(frozen=True)
 class VerdictRecord:
-    """Outcome of one bounded exhaustive scan."""
+    """Outcome of one bounded exhaustive scan.
+
+    ``tallies`` holds (name, count) pairs a scan keeps besides the graphs it
+    scanned, such as the sweeps' ``hypotheses_fired`` or ``gap_graphs``.
+    """
 
     claim_id: str
     n_max: int
     graphs_scanned: int
     elapsed_ms: float
-    counterexamples: tuple[str, ...]
+    counterexamples: tuple
+    tallies: tuple[tuple[str, int], ...] = ()
 
     @property
     def held(self) -> bool:
@@ -92,31 +97,43 @@ class VerdictRecord:
             "claim_id": self.claim_id,
             "n_max": self.n_max,
             "graphs_scanned": self.graphs_scanned,
+            **dict(self.tallies),
             "elapsed_ms": self.elapsed_ms,
             "counterexamples": list(self.counterexamples),
         }
 
 
-def _scan(patterns: PatternSet, target: str, n_max: int, workers: int) -> VerdictRecord:
-    _check_target(target)
+def _scan(claim_id: str, n_max: int, patterns, workers: int, check,
+          tallies=()) -> VerdictRecord:
+    """Run ``check`` on every graph of the walk and collect what it reports.
+
+    ``check(g, counts)`` returns the graph's counterexamples (usually none)
+    and may add to ``counts``, a dict holding one count per name in
+    ``tallies``.
+    """
     graphs = walk(n_max, patterns, workers)
-    _, _, left, right = TARGETS[target]
     t0 = time.perf_counter()
     scanned = 0
-    bad: list[str] = []
+    counts = dict.fromkeys(tallies, 0)
+    bad: list = []
     for g in graphs:
         scanned += 1
-        if left(g) != right(g):
-            bad.append(to_graph6(g))
+        bad += check(g, counts)
     elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
-    claim_id = f"{target}:{patterns.label}"
-    return VerdictRecord(claim_id, n_max, scanned, elapsed_ms, tuple(bad))
+    return VerdictRecord(claim_id, n_max, scanned, elapsed_ms, tuple(bad),
+                         tuple(counts.items()))
 
 
 def verify_pattern_set(patterns: PatternSet, n_max: int, target: str = "kappa_prime_delta",
                        workers: int = 1) -> VerdictRecord:
     """Scan all connected pattern-free graphs up to n_max against the target equality."""
-    return _scan(patterns, target, n_max, workers)
+    _check_target(target)
+    _, _, left, right = TARGETS[target]
+
+    def check(g, counts):
+        return () if left(g) == right(g) else (to_graph6(g),)
+
+    return _scan(f"{target}:{patterns.label}", n_max, patterns, workers, check)
 
 
 @dataclass(frozen=True)
@@ -203,59 +220,36 @@ def maximality_sweep(base, extensions, n_max: int,
     return [(ext, mine_witness(ext, n_max, workers=workers)) for ext in extensions]
 
 
-def condition_soundness(n_max: int, workers: int = 1) -> dict:
+def condition_soundness(n_max: int, workers: int = 1) -> VerdictRecord:
     """Check every sufficient condition against the equality it claims.
 
     Walks all connected graphs of order 2..n_max; a condition that holds on
     a graph with edge connectivity below minimum degree is a counterexample.
     """
-    graphs = walk(n_max, workers=workers)
-    t0 = time.perf_counter()
-    scanned = 0
-    fired = 0
-    violations = []
-    for g in graphs:
-        scanned += 1
-        for row in condition_implication_rows(g):
-            fired += row.holds
-            if not row.sound:
-                violations.append({"graph6": to_graph6(g), "condition": row.condition.name})
-    return {
-        "claim_id": f"conditions:soundness:n<={n_max}",
-        "n_max": n_max,
-        "graphs_scanned": scanned,
-        "hypotheses_fired": fired,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-        "counterexamples": violations,
-    }
+    def check(g, counts):
+        rows = condition_implication_rows(g)
+        counts["hypotheses_fired"] += sum(row.holds for row in rows)
+        return [{"graph6": to_graph6(g), "condition": row.condition.name}
+                for row in rows if not row.sound]
+
+    return _scan(f"conditions:soundness:n<={n_max}", n_max, None, workers, check,
+                 ("hypotheses_fired",))
 
 
-def cut_interior_sweep(n_max: int, workers: int = 1) -> dict:
+def cut_interior_sweep(n_max: int, workers: int = 1) -> VerdictRecord:
     """Check that minimum cuts leave interior structure on both sides.
 
     Walks all connected graphs of order 2..n_max; a graph with edge
     connectivity below minimum degree whose recorded minimum cut fails the
     interior property is a counterexample.
     """
-    graphs = walk(n_max, workers=workers)
-    t0 = time.perf_counter()
-    scanned = 0
-    gap = 0
-    failures = []
-    for g in graphs:
-        scanned += 1
-        if edge_connectivity(g) < min_degree(g):
-            gap += 1
-            if not cut_interior_property(g):
-                failures.append(to_graph6(g))
-    return {
-        "claim_id": f"cut_interior:n<={n_max}",
-        "n_max": n_max,
-        "graphs_scanned": scanned,
-        "gap_graphs": gap,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-        "counterexamples": failures,
-    }
+    def check(g, counts):
+        if edge_connectivity(g) >= min_degree(g):
+            return ()
+        counts["gap_graphs"] += 1
+        return () if cut_interior_property(g) else (to_graph6(g),)
+
+    return _scan(f"cut_interior:n<={n_max}", n_max, None, workers, check, ("gap_graphs",))
 
 
 # ---------------------------------------------------------------------------

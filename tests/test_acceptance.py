@@ -175,11 +175,11 @@ def test_criterion_06_sufficient_conditions_sound(capsys):
     t0 = time.perf_counter()
     sweep = condition_soundness(8)
     elapsed = time.perf_counter() - t0
-    violations = sweep["counterexamples"]
-    ok = not violations and sweep["graphs_scanned"] == 12112
+    violations = sweep.counterexamples
+    ok = not violations and sweep.graphs_scanned == 12112
     detail = (
-        f"eight sufficient conditions fired {sweep['hypotheses_fired']} times over"
-        f" {sweep['graphs_scanned']} connected graphs with n<=8 and never against"
+        f"eight sufficient conditions fired {dict(sweep.tallies)['hypotheses_fired']} times over"
+        f" {sweep.graphs_scanned} connected graphs with n<=8 and never against"
         f" the equality, violations: {len(violations)}, {elapsed:.0f}s"
     )
     _announce(capsys, 6, ok, detail)
@@ -230,8 +230,8 @@ def test_criterion_09_minimum_cuts_leave_interiors(capsys):
     t0 = time.perf_counter()
     sweep = cut_interior_sweep(8)
     elapsed = time.perf_counter() - t0
-    gap = sweep["gap_graphs"]
-    failures = len(sweep["counterexamples"])
+    gap = dict(sweep.tallies)["gap_graphs"]
+    failures = len(sweep.counterexamples)
     ok = failures == 0 and gap > 0
     detail = (
         f"all {gap} connected graphs with n<=8 showing kappa'<delta keep an"

@@ -1,0 +1,54 @@
+"""The benchmark's traced names resolve on the package, and tracing undoes itself.
+
+``benchmark/tracing.py`` rebinds functions by module and attribute name, so a
+rename in ``src/`` would otherwise surface only in the benchmark's traced run.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("edgeconn_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_resolves():
+    for mod_name, attr, span in load_tracing().SPANS:
+        module = importlib.import_module("edgeconn." + mod_name)
+        assert callable(getattr(module, attr, None)), f"{span}: edgeconn.{mod_name}.{attr}"
+
+
+def bindings():
+    """Every name bound in every loaded edgeconn module, plus the TARGETS tuples."""
+    out = {}
+    for key, mod in sorted(sys.modules.items()):
+        if key == "edgeconn" or key.startswith("edgeconn."):
+            out.update({(key, name): value for name, value in vars(mod).items()})
+    verify = sys.modules["edgeconn.verify"]
+    out.update({("TARGETS", key): entry for key, entry in verify.TARGETS.items()})
+    return out
+
+
+def test_install_then_restore_keeps_every_binding():
+    tracing = load_tracing()
+    for mod_name, _, _ in tracing.SPANS:
+        importlib.import_module("edgeconn." + mod_name)
+    before = bindings()
+    scan = sys.modules["edgeconn.verify"]._scan
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert sys.modules["edgeconn.verify"]._scan is not scan
+    finally:
+        tracer.restore()
+    after = bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key, value in before.items() if after[key] is not value]
+    assert changed == []

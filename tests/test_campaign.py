@@ -103,6 +103,10 @@ def test_help_exits_zero(capsys):
     assert "--sweep-n-max" in capsys.readouterr().out
 
 
+def json_reports(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.glob("*.json"))
+
+
 def test_sweep_below_order_two_exits_one(tmp_path, capsys):
     # an empty sweep would pass vacuously; the walk refuses the bound instead
     code = load_campaign().main(
@@ -110,8 +114,17 @@ def test_sweep_below_order_two_exits_one(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert code == 1
-    assert "error: scans support 2 <= n_max <= 10, got 1" in err
-    assert not (tmp_path / "condition_soundness.json").exists()
+    assert "error: scans support 2 <= n_max <= 9, got 1" in err
+    assert json_reports(tmp_path) == []
+
+
+@pytest.mark.parametrize("n_max", ["10", "11"])
+def test_scan_depth_above_bound_exits_before_any_report(tmp_path, capsys, n_max):
+    code = load_campaign().main(["--n-max", n_max, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: scans support 2 <= n_max <= 9, got {n_max}" in err
+    assert json_reports(tmp_path) == []
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -123,6 +136,7 @@ def test_bad_workers_env_exits_one(tmp_path, raw, message):
                       env_extra={"EDGECONN_WORKERS": raw})
     assert proc.returncode == 1
     assert message in proc.stderr
+    assert json_reports(tmp_path) == []
 
 
 def test_bad_workers_env_does_not_break_help():

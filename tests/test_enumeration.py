@@ -127,6 +127,8 @@ class TestExpansion:
         with pytest.raises(GraphError):
             connected_level(0)
         with pytest.raises(GraphError):
+            connected_level(10)
+        with pytest.raises(GraphError):
             connected_level(11)
         with pytest.raises(GraphError):
             connected_level(0, workers=2)
@@ -226,11 +228,11 @@ class TestWalk:
                 assert len(got[n]) == len(want), (ps.label, n)
                 assert got[n] == want, (ps.label, n)
 
-    @pytest.mark.parametrize("n_max", [-1, 0, 1, 11, 12])
+    @pytest.mark.parametrize("n_max", [-1, 0, 1, 10, 11, 12])
     def test_bad_order_bound_raises_at_call(self, n_max):
-        with pytest.raises(GraphError, match="scans support 2 <= n_max <= 10"):
+        with pytest.raises(GraphError, match="scans support 2 <= n_max <= 9"):
             walk(n_max)
-        with pytest.raises(GraphError, match="scans support 2 <= n_max <= 10"):
+        with pytest.raises(GraphError, match="scans support 2 <= n_max <= 9"):
             walk(n_max, star(3))
 
 

@@ -11,6 +11,8 @@ from edgeconn import (
     WitnessRecord,
     characterized_sets,
     complete_graph,
+    condition_soundness,
+    cut_interior_sweep,
     intersect_characterizations,
     maximality_sweep,
     mine_witness,
@@ -72,6 +74,8 @@ class TestVerdicts:
         with pytest.raises(GraphError):
             verify_pattern_set(parse_pattern_set("P4"), 1)
         with pytest.raises(GraphError):
+            verify_pattern_set(parse_pattern_set("P4"), 10)
+        with pytest.raises(GraphError):
             verify_pattern_set(parse_pattern_set("P4"), 11)
 
     def test_as_dict_schema(self):
@@ -79,6 +83,16 @@ class TestVerdicts:
         d = rec.as_dict()
         assert list(d) == ["claim_id", "n_max", "graphs_scanned", "elapsed_ms", "counterexamples"]
         assert isinstance(d["counterexamples"], list)
+        # the sweeps give the same record, with one count between the scan and its timing
+        for sweep, tally in ((condition_soundness, "hypotheses_fired"),
+                             (cut_interior_sweep, "gap_graphs")):
+            rec = sweep(5)
+            assert isinstance(rec, VerdictRecord) and rec.held
+            d = rec.as_dict()
+            assert list(d) == ["claim_id", "n_max", "graphs_scanned", tally,
+                               "elapsed_ms", "counterexamples"]
+            assert d["graphs_scanned"] == 1 + 2 + 6 + 21
+            assert d[tally] == dict(rec.tallies)[tally]
 
     def test_scan_counts_only_free_graphs(self, levels6):
         from edgeconn import is_free
