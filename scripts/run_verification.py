@@ -3,7 +3,7 @@
 
 Sections, in order: the embedded selftest, exhaustive equality scans for
 every characterized pattern set of all three targets, witness mining for
-the strict extensions just beyond the edge-connectivity boundary, the
+the catalogued pairs just beyond the edge-connectivity boundary, the
 sufficient-condition soundness sweep, the minimum-cut interior sweep, and
 the intersection of the two single-equality characterizations.
 
@@ -31,21 +31,14 @@ from edgeconn import (
     connected_level,
     cut_interior_sweep,
     intersect_characterizations,
-    maximality_sweep,
-    mine_witness,
     parse_pattern_set,
     pattern_equivalent,
     recognize_pattern,
     run_selftest,
     verify_pattern_set,
     walk,
+    witness_sweep,
 )
-
-# strict extensions of the characterized sets, checked through the sweep
-EXTENSION_PAIRS = ("H1,P6", "Z3,P6", "Z2,P7", "Z2,T1_1_4")
-# pairs incomparable with every characterized set; a witness rules out any
-# alternative characterization built around them
-INCOMPARABLE_PAIRS = ("K1_4,P5", "K1_3,P5")
 
 
 def parse_args(argv=None):
@@ -98,29 +91,15 @@ def section_scans(out_dir: Path, n_max: int, workers: int) -> bool:
 
 
 def section_witnesses(out_dir: Path, n_max: int, workers: int) -> bool:
-    base = characterized_sets("kappa_prime_delta")
-    extensions = [parse_pattern_set(text) for text in EXTENSION_PAIRS]
-    rows = []
-    complete = True
-
-    def record(pair, rec, relation):
-        nonlocal complete
-        if rec is None:
-            rows.append({"pair": pair.label, "witness": None, "relation": relation})
-            complete = False
-            print(f"  {pair.label}: no witness up to n={n_max}")
+    rows = witness_sweep(n_max, workers)
+    for row in rows:
+        if row["witness"] is None:
+            print(f"  {row['pair']}: no witness up to n={n_max}")
         else:
-            rows.append({**rec.as_dict(), "relation": relation})
-            print(f"  {pair.label}: witness {rec.witness} "
-                  f"(kappa'={rec.kappa_prime} < delta={rec.delta}, {rec.origin})")
-
-    for ext, rec in maximality_sweep(base, extensions, n_max, workers=workers):
-        record(ext, rec, "strict-extension")
-    for text in INCOMPARABLE_PAIRS:
-        pair = parse_pattern_set(text)
-        record(pair, mine_witness(pair, n_max, workers=workers), "incomparable")
+            print(f"  {row['pair']}: witness {row['witness']} "
+                  f"(kappa'={row['kappa_prime']} < delta={row['delta']}, {row['origin']})")
     write_json(out_dir / "extension_witnesses.json", rows)
-    return complete
+    return all(row["witness"] is not None for row in rows)
 
 
 def section_sweep(out_dir: Path, name: str, rec) -> bool:

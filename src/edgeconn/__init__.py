@@ -88,9 +88,9 @@ from .verify import (
     condition_soundness,
     cut_interior_sweep,
     intersect_characterizations,
-    maximality_sweep,
     mine_witness,
     verify_pattern_set,
+    witness_sweep,
 )
 from .selftest import run_selftest
 

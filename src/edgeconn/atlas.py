@@ -136,12 +136,27 @@ def make_named(spec: NamedGraphSpec) -> Graph:
 # ---------------------------------------------------------------------------
 # pattern vocabulary
 
+# token head and parameter count -> (constructor, vertex count of the result)
+_TOKEN_SHAPES = {
+    ("P", 1): (path_graph, lambda i: i),
+    ("C", 1): (cycle_graph, lambda n: n),
+    ("K", 1): (complete_graph, lambda n: n),
+    ("K", 2): (complete_bipartite, lambda m, n: m + n),
+    ("Z", 1): (triangle_with_tail, lambda i: i + 3),
+    ("T", 3): (spider, lambda i, j, k: i + j + k + 1),
+}
+
+# the largest order graph6 short form (and so canonical labelling) handles
+MAX_PATTERN_ORDER = 62
+
+
 def parse_pattern_token(token: str) -> Pattern:
     """Turn one vocabulary token into a labeled pattern.
 
     Tokens: P<i>, C<n>, K<n>, K<m>_<n>, Z<i>, T<i>_<j>_<k>, H0, H1, or an
     inline record with the g6: prefix.  Parameterized names use underscores
-    so commas stay free to separate set members.
+    so commas stay free to separate set members.  A token naming more than
+    62 vertices is refused before its graph is built.
     """
     tok = token.strip()
     if not tok:
@@ -150,25 +165,18 @@ def parse_pattern_token(token: str) -> Pattern:
         return Pattern(from_graph6(tok[3:]), tok)
     if tok in ("H0", "H1"):
         return Pattern(make_named(NamedGraphSpec(tok)), tok)
-    head, rest = tok[0], tok[1:]
     try:
-        if head == "P":
-            return Pattern(path_graph(int(rest)), tok)
-        if head == "C":
-            return Pattern(cycle_graph(int(rest)), tok)
-        if head == "K":
-            if "_" in rest:
-                m, n = rest.split("_")
-                return Pattern(complete_bipartite(int(m), int(n)), tok)
-            return Pattern(complete_graph(int(rest)), tok)
-        if head == "Z":
-            return Pattern(triangle_with_tail(int(rest)), tok)
-        if head == "T":
-            i, j, k = rest.split("_")
-            return Pattern(spider(int(i), int(j), int(k)), tok)
+        params = tuple(int(x) for x in tok[1:].split("_"))
+        build, order = _TOKEN_SHAPES[tok[0], len(params)]
+    except (KeyError, ValueError):
+        raise ValueError(f"cannot parse pattern token {token!r}") from None
+    if order(*params) > MAX_PATTERN_ORDER:
+        raise ValueError(f"pattern token {token!r} names {order(*params)} vertices;"
+                         f" patterns have at most {MAX_PATTERN_ORDER}")
+    try:
+        return Pattern(build(*params), tok)
     except ValueError as exc:
         raise ValueError(f"cannot parse pattern token {token!r}: {exc}") from None
-    raise ValueError(f"cannot parse pattern token {token!r}")
 
 
 def parse_pattern_set(text: str) -> PatternSet:
@@ -361,17 +369,23 @@ def make_family_member(family_id: int, params) -> FamilyMember:
     return FamilyMember(family_id, params, g, tuple(cert))
 
 
-# pair (by canonical forms) -> family member that avoids both patterns
+# the pairs just beyond the kappa' = delta boundary, in report order, each
+# with the family member that avoids both patterns
 _WITNESS_SPECS: tuple[tuple[str, int, tuple[int, ...]], ...] = (
-    ("K1_4,P5", 1, (3,)),
-    ("K1_3,P5", 1, (4,)),
-    ("Z3,P6", 1, (4,)),
     ("H1,P6", 5, (2,)),
+    ("Z3,P6", 1, (4,)),
     ("Z2,P7", 6, (2, 2)),
     ("Z2,T1_1_4", 6, (2, 2)),
+    ("K1_4,P5", 1, (3,)),
+    ("K1_3,P5", 1, (4,)),
 )
 
 _WITNESS_TABLE: dict[frozenset, tuple[int, tuple[int, ...]]] = {}
+
+
+def catalogued_pairs() -> list[PatternSet]:
+    """The pairs the witness catalogue names, in report order."""
+    return [parse_pattern_set(text) for text, _, _ in _WITNESS_SPECS]
 
 
 def known_witness(pair: PatternSet) -> FamilyMember | None:

@@ -60,8 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--name", help="pattern token, e.g. Z2, T1_1_3, H0")
     group.add_argument("--family", type=int, help="witness family id 1..7")
     p.add_argument("--params", default="", help="family parameters, e.g. 2,2")
-    p.add_argument("--out", dest="output_path")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    add_io(p, needs_in=False)
 
     p = sub.add_parser("enumerate", help="stream all connected graphs of one order")
     p.add_argument("--n", type=int, required=True, help=f"order, 1..{MAX_ENUM_ORDER}")
@@ -76,15 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="one or two comma-separated pattern tokens")
     p.add_argument("--target", choices=sorted(_TARGET_CHOICES), default="kappa-prime-delta")
     p.add_argument("--n-max", dest="n_max", type=int, default=8)
-    p.add_argument("--out", dest="output_path")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    add_io(p, needs_in=False)
     add_workers(p)
 
     p = sub.add_parser("mine", help="find a pattern-free graph with kappa' below delta")
     p.add_argument("--pair", "--patterns", dest="patterns", required=True)
     p.add_argument("--n-max", dest="n_max", type=int, default=8)
-    p.add_argument("--out", dest="output_path")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    add_io(p, needs_in=False)
     add_workers(p)
 
     sub.add_parser("selftest", help="run the embedded oracle cross-checks")
@@ -186,30 +183,27 @@ def _run_conditions(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _run_verify(ns: argparse.Namespace) -> int:
-    patterns = parse_pattern_set(ns.patterns)
-    record = verify_pattern_set(patterns, ns.n_max, _TARGET_CHOICES[ns.target], ns.workers)
-    data = record.as_dict()
+def _emit_record(data: dict, ns: argparse.Namespace):
+    """Write one record: indented JSON, or a CSV header and one row."""
     if ns.fmt == "json":
         _emit(json.dumps(data, indent=2) + "\n", ns.output_path)
     else:
-        fields = tuple(data)
         body = {k: _csvable(v) for k, v in data.items()}
-        _emit(_rows_report([body], fields, ns.fmt), ns.output_path)
+        _emit(_rows_report([body], tuple(data), ns.fmt), ns.output_path)
+
+
+def _run_verify(ns: argparse.Namespace) -> int:
+    patterns = parse_pattern_set(ns.patterns)
+    record = verify_pattern_set(patterns, ns.n_max, _TARGET_CHOICES[ns.target], ns.workers)
+    _emit_record(record.as_dict(), ns)
     return 0 if record.held else 2
 
 
 def _run_mine(ns: argparse.Namespace) -> int:
     patterns = parse_pattern_set(ns.patterns)
     record = mine_witness(patterns, ns.n_max, ns.workers)
-    if record is None:
-        data = {"pair": patterns.label, "witness": None}
-    else:
-        data = record.as_dict()
-    if ns.fmt == "json":
-        _emit(json.dumps(data, indent=2) + "\n", ns.output_path)
-    else:
-        _emit(_rows_report([data], tuple(data), ns.fmt), ns.output_path)
+    data = {"pair": patterns.label, "witness": None} if record is None else record.as_dict()
+    _emit_record(data, ns)
     return 0 if record is not None else 2
 
 

@@ -167,8 +167,9 @@ def read_graph6_stream(path) -> Iterator[Graph]:
     """Yield graphs from a graph6 file; parse errors carry the line number.
 
     A leading '>>graph6<<' marker is tolerated; blank lines are skipped.
+    A non-ASCII byte is reported like any other byte outside the graph6 range.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if lineno == 1 and line.startswith(">>graph6<<"):

@@ -249,7 +249,12 @@ def from_graph6(line: str) -> Graph:
         raise Graph6Error("digraph6 records (leading '&') are not supported")
     if not line:
         raise Graph6Error("empty graph6 record")
-    data = line.encode("ascii", errors="replace")
+    # undecodable input bytes come back unchanged, and the first non-ASCII
+    # character starts at the same offset in characters and in bytes
+    try:
+        data = line.encode("utf-8", errors="surrogateescape")
+    except UnicodeEncodeError as exc:  # a lone surrogate that no input byte escapes
+        raise Graph6Error(f"byte {exc.start}: lone surrogate, not a graph6 byte") from None
     for off, byte in enumerate(data):
         if not 63 <= byte <= 126:
             raise Graph6Error(f"byte {off} value {byte} outside graph6 range 63..126")

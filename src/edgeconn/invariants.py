@@ -64,20 +64,27 @@ def _edge_flow_value(adj, n, s, t):
         value += 1
 
 
+def _min_sink_flow(g: Graph, what: str):
+    """The least flow from source 0 over the sinks 1..n-1, as (value, fmask).
+
+    Ties keep the lexicographically least sink.  ``what`` names the caller's
+    quantity in the errors for graphs it is undefined on.
+    """
+    if g.n < 2:
+        raise GraphError(f"{what} needs at least two vertices")
+    if not is_connected(g):
+        raise GraphError(f"{what} is defined here for connected graphs")
+    best = None
+    for t in range(1, g.n):
+        flow = _edge_flow_value(g.adj, g.n, 0, t)
+        if best is None or flow[0] < best[0]:
+            best = flow
+    return best
+
+
 def edge_connectivity(g: Graph) -> int:
     """Return the minimum number of edges whose removal disconnects g."""
-    if g.n < 2:
-        raise GraphError("edge connectivity needs at least two vertices")
-    if not is_connected(g):
-        raise GraphError("edge connectivity is defined here for connected graphs")
-    best = g.n * g.n
-    for t in range(1, g.n):
-        value, _ = _edge_flow_value(g.adj, g.n, 0, t)
-        if value < best:
-            best = value
-            if best == 0:
-                break
-    return best
+    return _min_sink_flow(g, "edge connectivity")[0]
 
 
 @dataclass(frozen=True)
@@ -111,17 +118,7 @@ def min_edge_cut(g: Graph) -> CutCertificate:
     Ties break by the lexicographically least sink whose flow attains the
     minimum; side1 is then the residual-reachable side of the source.
     """
-    if g.n < 2:
-        raise GraphError("edge cuts need at least two vertices")
-    if not is_connected(g):
-        raise GraphError("edge cuts are defined here for connected graphs")
-    best = None
-    best_fmask = None
-    for t in range(1, g.n):
-        value, fmask = _edge_flow_value(g.adj, g.n, 0, t)
-        if best is None or value < best:
-            best = value
-            best_fmask = fmask
+    best, best_fmask = _min_sink_flow(g, "an edge cut")
     # residual reachability from the source fixes side1
     seen = 1
     frontier = 1
@@ -368,11 +365,9 @@ def cut_interior_property(g: Graph) -> bool:
     each side of the recorded minimum cut has a vertex outside the cut
     boundary and every such interior vertex keeps an interior neighbor.
     """
-    if g.n < 2 or not is_connected(g):
-        raise GraphError("needs a connected graph on at least two vertices")
-    if edge_connectivity(g) >= min_degree(g):
-        raise GraphError("only meaningful when edge connectivity is below minimum degree")
     cert = min_edge_cut(g)
+    if cert.value >= min_degree(g):
+        raise GraphError("only meaningful when edge connectivity is below minimum degree")
     for side, boundary in ((cert.side1, cert.boundary1), (cert.side2, cert.boundary2)):
         interior = side & ~boundary
         if interior == 0:

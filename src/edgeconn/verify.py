@@ -17,7 +17,13 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .atlas import known_witness, parse_pattern_set, parse_pattern_token, recognize_pattern
+from .atlas import (
+    catalogued_pairs,
+    known_witness,
+    parse_pattern_set,
+    parse_pattern_token,
+    recognize_pattern,
+)
 from .conditions import condition_implication_rows
 from .enumeration import walk
 from .graphs import from_graph6, is_connected, to_graph6
@@ -195,29 +201,31 @@ def mine_witness(pair: PatternSet, n_max: int, workers: int = 1) -> WitnessRecor
     return None
 
 
-def maximality_sweep(base, extensions, n_max: int,
-                     workers: int = 1) -> list[tuple[PatternSet, WitnessRecord | None]]:
-    """Mine witnesses showing each extension falls outside the characterization.
+def witness_sweep(n_max: int, workers: int = 1) -> list[dict]:
+    """Mine a witness for every catalogued pair beyond the kappa' = delta boundary.
 
-    ``base`` is the characterized pattern set, or a list of them.  Every
-    extension must sit strictly above some base set and at-or-below none,
-    otherwise the sweep refuses to run.  A missing witness is reported as
-    None for review rather than raised.
+    Returns one row per pair, in catalogue order: the witness record plus its
+    ``relation``, ``"strict-extension"`` when some characterized set is
+    strictly below the pair and ``"incomparable"`` otherwise.  A pair at or
+    below a characterized set could have no witness, so the sweep refuses to
+    run.  A missing witness is reported as ``"witness": None`` for review
+    rather than raised.
     """
-    bases = [base] if isinstance(base, PatternSet) else list(base)
-    if not bases:
-        raise ValueError("need at least one characterized set")
-    for ext in extensions:
-        if not any(pattern_strictly_preceq(c, ext) for c in bases):
-            raise ValueError(
-                f"extension {ext.label} does not strictly extend any characterized set"
-            )
+    bases = characterized_sets("kappa_prime_delta")
+    pairs = catalogued_pairs()
+    for pair in pairs:
         for c in bases:
-            if pattern_preceq(ext, c):
+            if pattern_preceq(pair, c):
                 raise ValueError(
-                    f"extension {ext.label} is at or below characterized set {c.label}"
+                    f"catalogued pair {pair.label} is at or below characterized set {c.label}"
                 )
-    return [(ext, mine_witness(ext, n_max, workers=workers)) for ext in extensions]
+    rows = []
+    for pair in pairs:
+        strict = any(pattern_strictly_preceq(c, pair) for c in bases)
+        rec = mine_witness(pair, n_max, workers)
+        row = {"pair": pair.label, "witness": None} if rec is None else rec.as_dict()
+        rows.append({**row, "relation": "strict-extension" if strict else "incomparable"})
+    return rows
 
 
 def condition_soundness(n_max: int, workers: int = 1) -> VerdictRecord:

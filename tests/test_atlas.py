@@ -101,6 +101,10 @@ class TestPatternVocabulary:
         for bad in ("", "Q7", "P", "Px", "K2_", "T1_1", "Z0", "C2", "g6:Bww"):
             with pytest.raises(ValueError):
                 parse_pattern_token(bad)
+        # past graph6's 62 vertices a token is refused before its graph is built
+        for big in ("P63", "K1_62", "T20_20_22", "P2000"):
+            with pytest.raises(ValueError, match="at most 62"):
+                parse_pattern_token(big)
 
     def test_set_parsing(self):
         ps = parse_pattern_set("Z2, P6")

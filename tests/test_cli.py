@@ -268,6 +268,13 @@ class TestVerify:
         capsys.readouterr()
         assert code == 1
 
+    def test_non_ascii_record_is_usage_error(self, capsys):
+        # read as '?' this record would be a connected 6-vertex pattern
+        code = main(["verify", "--pair", "g6:E~\u00e9g", "--n-max", "6"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "error: byte 2 value 195 outside graph6 range" in err
+
 
 class TestMine:
     def test_witness_found(self, capsys):
@@ -281,6 +288,15 @@ class TestMine:
         code, out = invoke(capsys, "mine", "--pair", "Z2,P6", "--n-max", "6")
         assert code == 2
         assert json.loads(out) == {"pair": "{Z2,P6}", "witness": None}
+
+    def test_csv_format(self, capsys):
+        code, out = invoke(capsys, "mine", "--pair", "Z2,P7", "--n-max", "8", "--format", "csv")
+        assert code == 0
+        assert out == ("pair,witness,kappa_prime,delta,origin\n"
+                       '"{Z2,P7}",G]??Ww,1,2,family\n')
+        code, out = invoke(capsys, "mine", "--pair", "Z2,P6", "--n-max", "6", "--format", "csv")
+        assert code == 2
+        assert out == 'pair,witness\n"{Z2,P6}",\n'
 
 
 class TestUsage:

@@ -256,3 +256,6 @@ class TestStreams:
         path.write_text("Bw\n:sparse\n")
         with pytest.raises(Graph6Error, match=r"bad\.g6:2: "):
             list(read_graph6_stream(path))
+        path.write_bytes(b"Bw\nE~\xc3g\n")
+        with pytest.raises(Graph6Error, match=r"bad\.g6:2: byte 2 value 195 "):
+            list(read_graph6_stream(path))

@@ -90,6 +90,11 @@ class TestGraph6:
     def test_error_names_byte_offset(self):
         with pytest.raises(Graph6Error, match="byte 1"):
             from_graph6("B\x1fw")
+        # a non-ASCII character is not read as '?', which is a legal byte
+        with pytest.raises(Graph6Error, match="byte 2 value 195 "):
+            from_graph6("E~\u00e9g")
+        with pytest.raises(Graph6Error, match="byte 1: lone surrogate"):
+            from_graph6("E\ud800g")
         with pytest.raises(Graph6Error, match="needs 2 bytes"):
             from_graph6("Bww")
 

@@ -1,4 +1,4 @@
-"""Scan verdicts, witness mining, maximality sweeps, and list intersection."""
+"""Scan verdicts, witness mining, the witness sweep, and list intersection."""
 
 import pytest
 
@@ -14,7 +14,6 @@ from edgeconn import (
     condition_soundness,
     cut_interior_sweep,
     intersect_characterizations,
-    maximality_sweep,
     mine_witness,
     parse_pattern_set,
     pattern_equivalent,
@@ -22,6 +21,7 @@ from edgeconn import (
     pattern_preceq,
     to_graph6,
     verify_pattern_set,
+    witness_sweep,
 )
 
 
@@ -164,35 +164,48 @@ class TestWitnessRecordValidation:
         assert rec.as_dict()["pair"] == "{C4,C5}"
 
 
-class TestMaximalitySweep:
-    def test_rejects_extension_below_base(self):
-        base = characterized_sets("kappa_prime_delta")
-        with pytest.raises(ValueError):
-            maximality_sweep(base, [parse_pattern_set("Z2,P6")], 6)
+def use_catalogue(monkeypatch, *specs):
+    """Stand in for the atlas witness catalogue, with a fresh lookup table."""
+    from edgeconn import atlas
 
-    def test_rejects_extension_below_some_other_base(self):
+    monkeypatch.setattr(atlas, "_WITNESS_SPECS", specs)
+    monkeypatch.setattr(atlas, "_WITNESS_TABLE", {})
+
+
+class TestWitnessSweep:
+    def test_rejects_pair_below_base(self, monkeypatch):
+        use_catalogue(monkeypatch, ("Z2,P6", 6, (2, 2)))
+        with pytest.raises(ValueError, match="at or below characterized set"):
+            witness_sweep(6)
+
+    def test_rejects_pair_below_some_other_base(self, monkeypatch):
         # strictly above the singleton but below a characterized pair
-        base = characterized_sets("kappa_prime_delta")
-        with pytest.raises(ValueError):
-            maximality_sweep(base, [parse_pattern_set("K3,K1_3")], 6)
-
-    def test_rejects_unrelated_extension(self):
-        base = parse_pattern_set("Z2,P6")
-        with pytest.raises(ValueError):
-            maximality_sweep(base, [parse_pattern_set("C4,C5")], 6)
+        use_catalogue(monkeypatch, ("H1,P6", 5, (2,)), ("K3,K1_3", 1, (3,)))
+        with pytest.raises(ValueError, match="K3,K1_3"):
+            witness_sweep(6)
 
     def test_successful_sweep(self):
-        base = characterized_sets("kappa_prime_delta")
-        exts = [parse_pattern_set("Z2,P7"), parse_pattern_set("H1,P6")]
-        out = maximality_sweep(base, exts, 8)
-        assert len(out) == 2
-        for ext, rec in out:
-            assert rec is not None, ext.label
-            assert rec.kappa_prime < rec.delta
+        rows = witness_sweep(8)
+        assert [r["pair"] for r in rows] == [
+            "{H1,P6}", "{Z3,P6}", "{Z2,P7}", "{Z2,T1_1_4}", "{K1_4,P5}", "{K1_3,P5}",
+        ]
+        assert [r["relation"] for r in rows] == ["strict-extension"] * 4 + ["incomparable"] * 2
+        for row in rows:
+            assert row["witness"] is not None, row["pair"]
+            assert row["kappa_prime"] < row["delta"]
 
-    def test_single_base_accepted(self):
-        out = maximality_sweep(parse_pattern_set("Z2,P6"), [parse_pattern_set("Z2,P7")], 8)
-        assert out[0][1] is not None
+    def test_relation_follows_the_pair_not_its_place(self, monkeypatch):
+        use_catalogue(monkeypatch, ("K1_3,P5", 1, (4,)), ("Z2,P7", 6, (2, 2)))
+        rows = witness_sweep(8)
+        assert [(r["pair"], r["relation"]) for r in rows] == [
+            ("{K1_3,P5}", "incomparable"), ("{Z2,P7}", "strict-extension"),
+        ]
+
+    def test_missing_witness_row(self):
+        # kappa' < delta needs at least six vertices
+        rows = witness_sweep(5)
+        assert rows[0] == {"pair": "{H1,P6}", "witness": None, "relation": "strict-extension"}
+        assert all(r["witness"] is None for r in rows)
 
 
 class TestIntersection:
