@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 from multiprocessing import get_context
 
 from .graphs import Graph, GraphError, Graph6Error, component_mask, from_graph6, to_graph6
-from .iso import _canonical_rows, is_free
+from .iso import _as_graphs, _canonical_rows, _find_rows, is_free
 
 MAX_ENUM_ORDER = 9
 
@@ -57,11 +57,15 @@ def _delete_rows(n: int, adj, v: int):
     return rows
 
 
-def expand_children(parent: Graph) -> list[Graph]:
+def _expand(parent: Graph, patterns) -> list[Graph]:
     """Return the accepted one-vertex extensions of one parent, in order.
 
     Children of distinct parents never collide, so concatenating these lists
-    over a whole level enumerates the next level exactly once.
+    over a whole level enumerates the next level exactly once.  With
+    ``patterns`` (graphs; smallest first rejects soonest) the parent must be
+    free of them, and only the free children are returned: any copy of a
+    pattern in a child then uses the new vertex, so the search is pinned
+    there, after the degree lemma and before canonical labelling.
     """
     pn = parent.n
     n = pn + 1
@@ -91,6 +95,8 @@ def expand_children(parent: Graph) -> list[Graph]:
         removable = _non_cut_vertices(n, rows, [v for v in range(pn) if rows[v].bit_count() >= d])
         if any(rows[v].bit_count() > d for v in removable):
             continue
+        if any(_find_rows(n, rows, p, pn) is not None for p in patterns):
+            continue
         perm, enc, _ = _canonical_rows(n, rows)
         removable.append(pn)
         vstar = max(removable, key=perm.index)
@@ -106,44 +112,64 @@ def expand_children(parent: Graph) -> list[Graph]:
     return out
 
 
-def _expand_parent_chunk(chunk) -> list[str]:
-    out = []
-    for line in chunk:
-        for child in expand_children(from_graph6(line)):
-            out.append(to_graph6(child))
-    return out
+def expand_children(parent: Graph) -> list[Graph]:
+    """Return the accepted one-vertex extensions of one parent, in order.
+
+    The entry for full levels, kept apart from the pattern walk's calls to
+    ``_expand`` so a caller can wrap it on its own.
+    """
+    return _expand(parent, ())
+
+
+def _expand_chunk(job) -> list[str]:
+    lines, pattern_lines = job
+    patterns = [from_graph6(s) for s in pattern_lines]
+    return [to_graph6(child) for line in lines for child in _expand(from_graph6(line), patterns)]
+
+
+def _pool_size(workers: int) -> int:
+    """A worker count checked (at least 1) and capped at the processor count."""
+    if workers < 1:
+        raise GraphError(f"workers must be at least 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
+
+
+def _next_level(parents, patterns, workers: int) -> list[Graph]:
+    """Expand every parent and concatenate the children, in parent order.
+
+    With ``workers`` above 1 and at least 64 parents, ordered chunks of the
+    parent list go to a pool of that many processes, so the merged result is
+    byte-identical to the sequential one; worker count only changes wall
+    time.  Graphs travel as graph6 strings, since a Graph does not pickle.
+    """
+    if workers > 1 and len(parents) >= 64:
+        lines = [to_graph6(p) for p in parents]
+        pattern_lines = tuple(to_graph6(p) for p in patterns)
+        step = max(1, len(lines) // (workers * 8))
+        jobs = [(lines[i:i + step], pattern_lines) for i in range(0, len(lines), step)]
+        with get_context("fork").Pool(workers) as pool:
+            parts = pool.map(_expand_chunk, jobs)
+        return [from_graph6(s) for part in parts for s in part]
+    level: list[Graph] = []
+    for parent in parents:
+        # full levels go through expand_children, the entry a caller can wrap alone
+        level.extend(_expand(parent, patterns) if patterns else expand_children(parent))
+    return level
 
 
 def connected_level(n: int, workers: int = 1) -> tuple[Graph, ...]:
     """Return (and cache) all connected graphs on n vertices, one per class.
 
-    An uncached level with at least 64 parents is expanded by ``workers``
-    processes, which split the parent list into ordered chunks, so the merged
-    result is byte-identical to the sequential one; worker count only changes
-    wall time.  A count below 1 is an error, and one above ``os.cpu_count()``
-    is lowered to it, so no input starts more processes than the machine has
+    An uncached level is built from the one below by ``_next_level``.  A
+    worker count below 1 is an error, and one above ``os.cpu_count()`` is
+    lowered to it, so no input starts more processes than the machine has
     processors.
     """
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise GraphError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}, got {n}")
-    if workers < 1:
-        raise GraphError(f"workers must be at least 1, got {workers}")
-    if n in _levels:
-        return _levels[n]
-    workers = min(workers, os.cpu_count() or 1)
-    parents = connected_level(n - 1, workers)
-    if workers > 1 and len(parents) >= 64:
-        lines = [to_graph6(p) for p in parents]
-        step = max(1, len(lines) // (workers * 8))
-        chunks = [lines[i:i + step] for i in range(0, len(lines), step)]
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_expand_parent_chunk, chunks)
-        _levels[n] = tuple(from_graph6(s) for part in parts for s in part)
-    else:
-        level: list[Graph] = []
-        for parent in parents:
-            level.extend(expand_children(parent))
-        _levels[n] = tuple(level)
+    workers = _pool_size(workers)
+    if n not in _levels:
+        _levels[n] = tuple(_next_level(connected_level(n - 1, workers), (), workers))
     return _levels[n]
 
 
@@ -151,16 +177,26 @@ def walk(n_max: int, patterns=None, workers: int = 1) -> Iterator[Graph]:
     """Yield the connected graphs of orders 2..n_max, level by level.
 
     With ``patterns`` given, only the graphs with no induced copy of any
-    pattern are kept.  Every exhaustive scan goes through this one walk.  The
-    order bound is checked here, when the walk is made, not on its first
-    step.
+    pattern are kept.  Freeness is hereditary and a child's parent is an
+    induced subgraph of it, so such a walk expands only the free graphs of
+    each order, holds one free level at a time and never builds or caches a
+    full level.  Every exhaustive scan goes through this one walk.  The
+    order bound and the worker count are checked here, when the walk is
+    made, not on its first step.
     """
     if not 2 <= n_max <= MAX_ENUM_ORDER:
         raise GraphError(f"scans support 2 <= n_max <= {MAX_ENUM_ORDER}, got {n_max}")
-    graphs = (g for n in range(2, n_max + 1) for g in connected_level(n, workers))
+    workers = _pool_size(workers)
     if patterns is None:
-        return graphs
-    return (g for g in graphs if is_free(g, patterns))
+        return (g for n in range(2, n_max + 1) for g in connected_level(n, workers))
+    return _free_walk(n_max, _as_graphs(patterns), workers)
+
+
+def _free_walk(n_max: int, patterns, workers: int) -> Iterator[Graph]:
+    level = [g for g in connected_level(1) if is_free(g, patterns)]
+    for _ in range(2, n_max + 1):
+        level = _next_level(level, patterns, workers)
+        yield from level
 
 
 def read_graph6_stream(path) -> Iterator[Graph]:

@@ -3,12 +3,14 @@
 ``canonical_form`` gives equal strings exactly for isomorphic graphs, which
 backs both the enumerator's duplicate rejection and pattern-set bookkeeping.
 ``contains_induced`` is an exact backtracking search over injective maps that
-preserve adjacency and non-adjacency.
+preserve adjacency and non-adjacency; ``find_induced`` can pin the search to
+copies through one host vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .graphs import Graph, _bits, induced, is_connected, to_graph6
@@ -156,68 +158,118 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # induced-subgraph search
 
-def _match_order(p: Graph):
-    """Order pattern vertices so each one touches an earlier one (BFS-ish)."""
-    if p.n == 0:
-        return []
-    start = max(range(p.n), key=lambda v: p.adj[v].bit_count())
+def _match_plan(pattern: Graph, start: int):
+    """The search plan of a pattern from one start vertex.
+
+    One step per pattern vertex, in search order, each ``(vertex, neighbour
+    steps, non-neighbour steps, degree)``: the earlier steps the vertex must
+    be adjacent and non-adjacent to, and its degree, a lower bound on its
+    image's.  Each vertex is placed next to one already placed, preferring
+    the most placed neighbours, then the higher degree.
+    """
+    padj = pattern.adj
     order = [start]
     placed = 1 << start
-    while len(order) < p.n:
-        # prefer the candidate with most already-placed neighbors
-        cand = [v for v in range(p.n) if not placed >> v & 1]
-        v = max(cand, key=lambda u: ((p.adj[u] & placed).bit_count(), p.adj[u].bit_count()))
+    while len(order) < pattern.n:
+        cand = [v for v in range(pattern.n) if not placed >> v & 1]
+        v = max(cand, key=lambda u: ((padj[u] & placed).bit_count(), padj[u].bit_count()))
         order.append(v)
         placed |= 1 << v
-    return order
+    return tuple(
+        (v,
+         tuple(i for i in range(k) if padj[v] >> order[i] & 1),
+         tuple(i for i in range(k) if not padj[v] >> order[i] & 1),
+         padj[v].bit_count())
+        for k, v in enumerate(order)
+    )
 
 
-def find_induced(host: Graph, pattern: Graph):
-    """Return one induced embedding as a tuple (pattern vertex i -> host
-    vertex), or None.  The pattern must be connected."""
-    hn, pn = host.n, pattern.n
+@lru_cache(maxsize=256)
+def _unpinned_plan(pattern: Graph):
+    """The plan of an unpinned search: it starts at a vertex of top degree."""
+    return _match_plan(pattern, max(range(pattern.n), key=lambda v: pattern.adj[v].bit_count()))
+
+
+@lru_cache(maxsize=256)
+def _pinned_plans(pattern: Graph):
+    """The plans of a pinned search, one per start vertex to map to the pin.
+
+    One start per orbit of the automorphisms the canonical search finds
+    suffices, since symmetric starts find the same copies.  Kept apart from
+    the unpinned plan, which needs no canonical search: that search is slow
+    on large symmetric patterns such as K12.
+    """
+    pn = pattern.n
+    orbit = list(range(pn))  # union-find; each root is the least vertex of its orbit
+    for a in _canonical_rows(pn, pattern.adj)[2]:
+        for v in range(pn):
+            x, y = orbit[v], orbit[a[v]]
+            while orbit[x] != x:
+                x = orbit[x]
+            while orbit[y] != y:
+                y = orbit[y]
+            orbit[max(x, y)] = min(x, y)
+    return tuple(_match_plan(pattern, v) for v in range(pn) if orbit[v] == v)
+
+
+def _extend(adj, degs, steps, image, k, used) -> bool:
+    """Place steps k.. of a plan given images of steps 0..k-1; backtracks."""
+    if k == len(steps):
+        return True
+    _, nbrs, nons, need = steps[k]
+    cand = ~used
+    for i in nbrs:
+        cand &= adj[image[i]]
+    for i in nons:
+        cand &= ~adj[image[i]]
+    while cand:
+        b = cand & -cand
+        cand ^= b
+        w = b.bit_length() - 1
+        if degs[w] < need:
+            continue
+        image[k] = w
+        if _extend(adj, degs, steps, image, k + 1, used | b):
+            return True
+    return False
+
+
+def _find_rows(n: int, adj, pattern: Graph, pin=None):
+    """Rows-level induced search; see find_induced."""
+    pn = pattern.n
     if pn == 0:
         return ()
-    if pn > hn or pattern.m > host.m:
+    degs = [r.bit_count() for r in adj]
+    if pn > n or 2 * pattern.m > sum(degs):
         return None
-    order = _match_order(pattern)
-    padj = pattern.adj
-    hadj = host.adj
-    hdeg = [r.bit_count() for r in hadj]
-    pdeg = [padj[v].bit_count() for v in order]
-    # per step, split earlier pattern vertices into neighbors / non-neighbors
-    nbr_steps = []
-    for k, v in enumerate(order):
-        nbrs = [i for i in range(k) if padj[v] >> order[i] & 1]
-        nons = [i for i in range(k) if not padj[v] >> order[i] & 1]
-        nbr_steps.append((nbrs, nons))
-    full = (1 << hn) - 1
     image = [0] * pn
-
-    def place(k, used):
-        if k == pn:
-            return True
-        nbrs, nons = nbr_steps[k]
-        cand = full & ~used
-        for i in nbrs:
-            cand &= hadj[image[i]]
-        for i in nons:
-            cand &= ~hadj[image[i]]
-        need = pdeg[k]
-        for w in _bits(cand):
-            if hdeg[w] < need:
-                continue
-            image[k] = w
-            if place(k + 1, used | 1 << w):
-                return True
-        return False
-
-    if not place(0, 0):
+    outside = ~((1 << n) - 1)  # counted as used, so candidates stay among the host's vertices
+    if pin is None:
+        steps = _unpinned_plan(pattern)
+        found = _extend(adj, degs, steps, image, 0, outside)
+    else:
+        found = False
+        for steps in _pinned_plans(pattern):
+            if degs[pin] >= steps[0][3]:
+                image[0] = pin
+                if _extend(adj, degs, steps, image, 1, outside | 1 << pin):
+                    found = True
+                    break
+    if not found:
         return None
     out = [0] * pn
-    for k, v in enumerate(order):
-        out[v] = image[k]
+    for k, step in enumerate(steps):
+        out[step[0]] = image[k]
     return tuple(out)
+
+
+def find_induced(host: Graph, pattern: Graph, pin=None):
+    """Return one induced embedding as a tuple (pattern vertex i -> host
+    vertex), or None.  The pattern must be connected.  With ``pin`` given,
+    only embeddings whose image contains host vertex ``pin`` count."""
+    if pin is not None and not 0 <= pin < host.n:
+        raise ValueError(f"pin must be a vertex of the host, got {pin}")
+    return _find_rows(host.n, host.adj, pattern, pin)
 
 
 def contains_induced(host: Graph, pattern: Graph) -> bool:
@@ -246,9 +298,10 @@ class PatternSet:
     def __post_init__(self):
         if not self.patterns:
             raise ValueError("pattern set must be nonempty")
-        forms = [canonical_form(p.graph) for p in self.patterns]
-        if len(set(forms)) != len(forms):
-            raise ValueError("pattern set members must be pairwise non-isomorphic")
+        # pairwise, so members that differ in order, size or degrees are never canonicalised
+        for a, b in combinations(self.patterns, 2):
+            if are_isomorphic(a.graph, b.graph):
+                raise ValueError("pattern set members must be pairwise non-isomorphic")
 
     @property
     def label(self) -> str:

@@ -52,3 +52,31 @@ def test_install_then_restore_keeps_every_binding():
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert changed == []
+
+
+def test_traced_scan_and_cold_level_run_then_restore():
+    # every traced wrapper must accept the calls the package makes through it
+    tracing = load_tracing()
+    from edgeconn import enumeration, parse_pattern_set, verify
+
+    before = bindings()
+    saved = dict(enumeration._levels)
+    tracer = tracing.Tracer()
+    try:
+        enumeration._levels.clear()
+        enumeration._levels[1] = saved[1]
+        tracer.install()
+        record = verify.verify_pattern_set(parse_pattern_set("P4"), 6)
+        level = enumeration.connected_level(6)
+    finally:
+        tracer.restore()
+        enumeration._levels.clear()
+        enumeration._levels.update(saved)
+    assert record.held and record.graphs_scanned == 1 + 2 + 5 + 12 + 33
+    assert len(level) == 112
+    assert tracer.spans["iso.canonical"][0] > 0
+    assert tracer.spans["enumeration.expand_children"][0] > 0
+    assert tracer.counters["verify.graphs_scanned"] == record.graphs_scanned
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

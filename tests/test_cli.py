@@ -42,7 +42,7 @@ def declared_scripts():
         return reader.load(fh)["project"].get("scripts", {})
 
 
-def invoke_subprocess(*args, env_extra=None):
+def invoke_subprocess(*args, env_extra=None, timeout=300):
     env = os.environ.copy()
     if env_extra:
         env.update(env_extra)
@@ -51,7 +51,7 @@ def invoke_subprocess(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -328,6 +328,12 @@ class TestSubprocessEntry:
         proc = invoke_subprocess("verify", "--pair", "Z2,P6", "--n-max", "6")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["claim_id"] == "kappa_prime_delta:{Z2,P6}"
+
+    def test_large_symmetric_member_is_not_canonicalised(self):
+        # telling K12 from P4 apart needs no canonical form, which K12's symmetry makes slow
+        proc = invoke_subprocess("verify", "--pair", "K12,P4", "--n-max", "4", timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["claim_id"] == "kappa_prime_delta:{K12,P4}"
 
     def test_workers_env_default(self):
         proc = invoke_subprocess(

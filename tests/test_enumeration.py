@@ -15,6 +15,7 @@ from edgeconn import (
     connected_level,
     expand_children,
     is_free,
+    parse_pattern_set,
     path_graph,
     read_graph6_stream,
     star,
@@ -40,6 +41,16 @@ LEVEL_SHA256 = {
     7: "956bf73c8ae572bbb30c1df5d9cc7e527b261868ab0e5e3384ba71c18694921c",
     8: "3c5f6481771090fc5aa48cc46fe1f7fd57030da796e7a77b0c3e208495ef8d4c",
 }
+
+# free graphs of walk(9, set) per order n = 2..9, and the sha256 prefix of
+# their graph6 lines, each followed by "\n"; computed by filtering the full
+# levels of orders 2..9 with is_free
+WALK9_PINS = [
+    ("P4", [1, 2, 5, 12, 33, 90, 261, 766], "e08aebaf75e07e7a"),
+    ("H1,P5", [1, 2, 6, 20, 92, 504, 3556, 30936], "63f1b67771add044"),
+    ("Z2,P6", [1, 2, 6, 20, 88, 446, 2880, 23196], "c4e64e9457aa3d7b"),
+    ("Z2,T1_1_3", [1, 2, 6, 20, 88, 437, 2748, 21858], "e0177eae67fc0d80"),
+]
 
 
 def brute_non_cut(g):
@@ -227,6 +238,21 @@ class TestWalk:
                 want = [g for g in levels8[n] if is_free(g, ps)]
                 assert len(got[n]) == len(want), (ps.label, n)
                 assert got[n] == want, (ps.label, n)
+
+    @pytest.mark.parametrize("text, counts, digest", WALK9_PINS, ids=[p[0] for p in WALK9_PINS])
+    def test_order_nine_streams_pinned(self, text, counts, digest):
+        got = [0] * 8
+        stream = hashlib.sha256()
+        for g in walk(9, parse_pattern_set(text)):
+            got[g.n - 2] += 1
+            stream.update((to_graph6(g) + "\n").encode("ascii"))
+        assert got == counts
+        assert stream.hexdigest()[:16] == digest
+
+    def test_pooled_pattern_walk_keeps_order(self):
+        # 88 free parents at order 6 and 446 at order 7, so orders 7 and 8 use the pool
+        ps = parse_pattern_set("Z2,P6")
+        assert list(walk(8, ps, workers=2)) == list(walk(8, ps, workers=1))
 
     @pytest.mark.parametrize("n_max", [-1, 0, 1, 10, 11, 12])
     def test_bad_order_bound_raises_at_call(self, n_max):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeconn import (
+    TARGETS,
     Graph,
     Pattern,
     PatternSet,
@@ -13,6 +14,7 @@ from edgeconn import (
     bowtie,
     bridged_triangles,
     canonical_form,
+    characterized_sets,
     complete_graph,
     contains_induced,
     cycle_graph,
@@ -30,6 +32,7 @@ from edgeconn import (
     pattern_strictly_preceq,
     spider,
     star,
+    to_graph6,
     triangle_with_tail,
 )
 from edgeconn.iso import relabel
@@ -114,6 +117,43 @@ class TestFindInduced:
         if not is_connected(pattern):
             return
         assert contains_induced(host, pattern) == contains_induced_oracle(host, pattern)
+
+
+def labelled_copies(p: Graph) -> set:
+    """The adjacency rows of every relabelling of p."""
+    return {relabel(p, perm).adj for perm in itertools.permutations(range(p.n))}
+
+
+class TestPinnedSearch:
+    def test_against_subset_brute_force(self, levels7):
+        # pinned at v, the search must find exactly the induced copies through v
+        sets = {ps.form_key(): ps for t in TARGETS for ps in characterized_sets(t)}
+        assert len(sets) == 10
+        members = {canonical_form(p.graph): p.graph for ps in sets.values() for p in ps.patterns}
+        copies = [(p, labelled_copies(p)) for p in members.values()]
+        sizes = {p.n for p in members.values()}
+        for n in range(1, 8):
+            for g in levels7[n]:
+                subs = [(mask, induced(g, mask).adj) for mask in range(1, 1 << n)
+                        if mask.bit_count() in sizes]
+                for p, labelled in copies:
+                    # the vertices lying in some induced copy of p
+                    through = 0
+                    for mask, rows in subs:
+                        if len(rows) == p.n and rows in labelled:
+                            through |= mask
+                    for v in range(n):
+                        image = find_induced(g, p, pin=v)
+                        assert (image is not None) == bool(through >> v & 1), (to_graph6(g), v)
+                        if image is not None:
+                            assert v in image and len(set(image)) == p.n
+                            for a, b in itertools.combinations(range(p.n), 2):
+                                assert g.has_edge(image[a], image[b]) == p.has_edge(a, b)
+
+    @pytest.mark.parametrize("pin", [-1, 3])
+    def test_pin_outside_host_rejected(self, pin):
+        with pytest.raises(ValueError, match="pin must be a vertex of the host"):
+            find_induced(path_graph(3), path_graph(2), pin=pin)
 
 
 class TestPatternSets:
