@@ -21,6 +21,7 @@ from .invariants import (
 from .iso import (
     Pattern,
     PatternSet,
+    are_isomorphic,
     canonical_form,
     contains_induced,
     is_free,
@@ -380,8 +381,6 @@ _WITNESS_SPECS: tuple[tuple[str, int, tuple[int, ...]], ...] = (
     ("K1_3,P5", 1, (4,)),
 )
 
-_WITNESS_TABLE: dict[frozenset, tuple[int, tuple[int, ...]]] = {}
-
 
 def catalogued_pairs() -> list[PatternSet]:
     """The pairs the witness catalogue names, in report order."""
@@ -389,15 +388,20 @@ def catalogued_pairs() -> list[PatternSet]:
 
 
 def known_witness(pair: PatternSet) -> FamilyMember | None:
-    """Return a cataloged family member that is pair-free with kappa' < delta."""
-    if not _WITNESS_TABLE:
-        for text, fam, params in _WITNESS_SPECS:
-            key = parse_pattern_set(text).form_key()
-            _WITNESS_TABLE[key] = (fam, params)
-    hit = _WITNESS_TABLE.get(pair.form_key())
-    if hit is None:
-        return None
-    member = make_family_member(*hit)
-    if not is_free(member.graph, pair):
-        raise CertificateError(f"cataloged witness for {pair.label} is not pair-free")
-    return member
+    """Return a cataloged family member that is pair-free with kappa' < delta.
+
+    A catalogue entry matches when it has as many members as the pair and
+    each member of the pair is isomorphic to one of them; ``are_isomorphic``
+    rejects on order, size and degrees first, so a large symmetric member
+    is never canonicalised.
+    """
+    for text, fam, params in _WITNESS_SPECS:
+        entry = parse_pattern_set(text).patterns
+        if len(entry) == len(pair.patterns) and all(
+            any(are_isomorphic(p.graph, q.graph) for q in entry) for p in pair.patterns
+        ):
+            member = make_family_member(fam, params)
+            if not is_free(member.graph, pair):
+                raise CertificateError(f"cataloged witness for {pair.label} is not pair-free")
+            return member
+    return None

@@ -1,9 +1,10 @@
 """Eight classical sufficient conditions for edge connectivity = min degree.
 
-Each predicate takes a connected graph on at least two vertices and returns
-whether its hypothesis holds; every one of them implies that edge
-connectivity equals minimum degree, which the implication rows make
-checkable en masse.
+Each hypothesis applies to a connected graph on at least two vertices, and
+every one of them implies that edge connectivity equals minimum degree,
+which the implication rows make checkable en masse.  All eight come from one
+pass per graph that computes the degrees, one distance matrix, one
+bipartition and the clique number once.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, GraphError, bipartition_mask, distance_matrix, is_connected
+from .graphs import Graph, GraphError, bfs_distances, bipartition_mask, is_connected
 from .invariants import clique_number, edge_connectivity, min_degree
 from .matching import matching_number
 
@@ -29,111 +30,60 @@ class Condition(Enum):
     dankelmann_volkmann = 8
 
 
+CONDITION_NAMES = tuple(c.name for c in Condition)
+
+
 def _check_domain(g: Graph):
     if g.n < 2 or not is_connected(g):
         raise GraphError("conditions apply to connected graphs on >= 2 vertices")
 
 
-def _holds_chartrand(g: Graph) -> bool:
-    """n <= 2*delta + 1."""
-    return g.n <= 2 * min_degree(g) + 1
-
-
-def _holds_lesniak(g: Graph) -> bool:
-    """deg(u) + deg(v) >= n - 1 for every nonadjacent pair."""
+def _hypotheses(g: Graph) -> list[bool]:
+    """The eight verdicts for a connected g, in Condition order."""
     n = g.n
-    deg = [row.bit_count() for row in g.adj]
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.adj[u] >> v & 1 and deg[u] + deg[v] < n - 1:
-                return False
-    return True
-
-
-def _holds_plesnik_diam2(g: Graph) -> bool:
-    """Diameter at most 2."""
-    return all(max(row) <= 2 for row in distance_matrix(g))
-
-
-def _holds_volkmann_bipartite(g: Graph) -> bool:
-    """Bipartite with n <= 4*delta - 1."""
-    return bipartition_mask(g) is not None and g.n <= 4 * min_degree(g) - 1
-
-
-def _far_masks(g: Graph) -> list[int]:
-    dist = distance_matrix(g)
-    far = [0] * g.n
-    for v in range(g.n):
-        for u in range(g.n):
-            if dist[v][u] >= 3:
-                far[v] |= 1 << u
-    return far
-
-
-def _holds_plesnik_znam_quadruple(g: Graph) -> bool:
-    """No four distinct vertices u1, u2, v1, v2 with all four cross
-    distances d(u1,u2), d(u1,v2), d(v1,u2), d(v1,v2) at least 3."""
-    far = _far_masks(g)
-    for u1 in range(g.n):
-        for v1 in range(u1 + 1, g.n):
-            if (far[u1] & far[v1]).bit_count() >= 2:
-                return False
-    return True
-
-
-def _holds_plesnik_znam_bipartite_diam3(g: Graph) -> bool:
-    """Bipartite with diameter at most 3."""
-    if bipartition_mask(g) is None:
-        return False
-    return all(max(row) <= 3 for row in distance_matrix(g))
-
-
-def _holds_xu_pairing(g: Graph) -> bool:
-    """floor(n/2) pairwise disjoint vertex pairs with degree sums >= n.
-
-    Realized as a maximum matching question on the auxiliary graph joining
-    u and v exactly when deg(u) + deg(v) >= n.
-    """
-    n = g.n
-    deg = [row.bit_count() for row in g.adj]
-    rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if deg[u] + deg[v] >= n:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return matching_number(Graph(n, rows)) >= n // 2
-
-
-def _holds_dankelmann_volkmann(g: Graph) -> bool:
-    """With p = max(omega, 2): n <= 2*floor(p*delta/(p-1)) - 1.
-
-    The published condition takes any p >= 2 with omega <= p (a K_{p+1}-free
-    graph).  Its bound weakens as p grows, so p = max(omega, 2) is the
-    strongest valid choice, and that choice meets omega <= p by construction.
-    """
+    adj = g.adj
+    deg = [row.bit_count() for row in adj]
+    delta = min(deg)
+    dist = [bfs_distances(g, s) for s in range(n)]
+    diam = max(max(row) for row in dist)
+    far = [sum(1 << u for u, d in enumerate(row) if d >= 3) for row in dist]
+    bipartite = bipartition_mask(g) is not None
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # Xu's pairs are realized as a maximum matching in the auxiliary graph
+    # joining u and v exactly when deg(u) + deg(v) >= n
+    heavy = [0] * n
+    for u, v in pairs:
+        if deg[u] + deg[v] >= n:
+            heavy[u] |= 1 << v
+            heavy[v] |= 1 << u
+    # Dankelmann-Volkmann take any p >= 2 with omega <= p (a K_{p+1}-free graph);
+    # the bound weakens as p grows, so p = max(omega, 2), which meets omega <= p,
+    # is the strongest valid choice
     p = max(clique_number(g), 2)
-    return g.n <= 2 * (p * min_degree(g) // (p - 1)) - 1
-
-
-CONDITION_NAMES = tuple(c.name for c in Condition)
-
-_PREDICATES = {
-    Condition.chartrand: _holds_chartrand,
-    Condition.lesniak: _holds_lesniak,
-    Condition.plesnik_diam2: _holds_plesnik_diam2,
-    Condition.volkmann_bipartite: _holds_volkmann_bipartite,
-    Condition.plesnik_znam_quadruple: _holds_plesnik_znam_quadruple,
-    Condition.plesnik_znam_bipartite_diam3: _holds_plesnik_znam_bipartite_diam3,
-    Condition.xu_pairing: _holds_xu_pairing,
-    Condition.dankelmann_volkmann: _holds_dankelmann_volkmann,
-}
+    return [
+        # n <= 2*delta + 1
+        n <= 2 * delta + 1,
+        # deg(u) + deg(v) >= n - 1 for every nonadjacent pair
+        all(adj[u] >> v & 1 or deg[u] + deg[v] >= n - 1 for u, v in pairs),
+        # diameter at most 2
+        diam <= 2,
+        # bipartite with n <= 4*delta - 1
+        bipartite and n <= 4 * delta - 1,
+        # no distinct u1, v1, u2, v2 with d(x, y) >= 3 for x in {u1, v1}, y in {u2, v2}
+        all((far[u] & far[v]).bit_count() < 2 for u, v in pairs),
+        # bipartite with diameter at most 3
+        bipartite and diam <= 3,
+        # floor(n/2) pairwise disjoint vertex pairs with degree sums >= n
+        matching_number(Graph(n, heavy)) >= n // 2,
+        # with p = max(omega, 2): n <= 2*floor(p*delta/(p-1)) - 1
+        n <= 2 * (p * delta // (p - 1)) - 1,
+    ]
 
 
 def condition_holds(cond: Condition, g: Graph) -> bool:
     """Return whether the hypothesis of one condition holds for g."""
     _check_domain(g)
-    return _PREDICATES[cond](g)
+    return _hypotheses(g)[cond.value - 1]
 
 
 @dataclass(frozen=True)
@@ -159,5 +109,6 @@ def condition_implication_rows(g: Graph) -> list[ImplicationRow]:
     _check_domain(g)
     equality = edge_connectivity(g) == min_degree(g)
     return [
-        ImplicationRow(cond, _PREDICATES[cond](g), equality) for cond in Condition
+        ImplicationRow(cond, holds, equality)
+        for cond, holds in zip(Condition, _hypotheses(g))
     ]

@@ -268,29 +268,20 @@ def from_graph6(line: str) -> Graph:
             f"byte {len(data)}: record for n={n} needs {want} bytes, got {len(data)}"
         )
     rows = [0] * n
-    bit = 0
+    # upper-triangle bits run (0,1), (0,2), (1,2), (0,3), ... column by column;
+    # the bits after column n-1 are padding
+    i, j = 0, 1
     for off in range(1, len(data)):
         chunk = data[off] - 63
         for shift in range(5, -1, -1):
-            if bit >= k:
+            if j >= n:
                 if chunk >> shift & 1:
                     raise Graph6Error(f"byte {off}: nonzero padding bits")
                 continue
             if chunk >> shift & 1:
-                i, j = _PAIR_CACHE.setdefault(bit, _pair_for_bit(bit))
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            bit += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph(n, rows)
-
-
-def _pair_for_bit(bit: int) -> tuple[int, int]:
-    # upper-triangle bits run (0,1), (0,2), (1,2), (0,3), ... column by column
-    j = 1
-    while bit >= j:
-        bit -= j
-        j += 1
-    return bit, j
-
-
-_PAIR_CACHE: dict[int, tuple[int, int]] = {}

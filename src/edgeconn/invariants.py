@@ -146,14 +146,13 @@ def min_edge_cut(g: Graph) -> CutCertificate:
     return cert
 
 
-def _split_flow_value(g: Graph, s: int, t: int) -> int:
-    """Max number of internally disjoint s-t paths for nonadjacent s, t."""
-    n2 = 2 * g.n
-    arc = [0] * n2
-    for v in range(g.n):
-        arc[2 * v] = 1 << (2 * v + 1)
-        for u in _bits(g.adj[v]):
-            arc[2 * v + 1] |= 1 << (2 * u)
+def _split_flow_value(arc, s: int, t: int) -> int:
+    """Max number of internally disjoint s-t paths for nonadjacent s, t.
+
+    ``arc`` is the vertex-split network: vertex v becomes the arc 2v -> 2v+1,
+    and each edge uv the arcs 2v+1 -> 2u and 2u+1 -> 2v.
+    """
+    n2 = len(arc)
     src = 2 * s + 1
     dst = 2 * t
     fout = [0] * n2
@@ -201,14 +200,19 @@ def vertex_connectivity(g: Graph) -> int:
     # contains v, in which case it separates two of v's neighbors; checking
     # one min-degree vertex this way covers every minimum cut
     v = min(range(n), key=lambda u: (g.adj[u].bit_count(), u))
+    arc = [0] * (2 * n)
+    for w in range(n):
+        arc[2 * w] = 1 << (2 * w + 1)
+        for u in _bits(g.adj[w]):
+            arc[2 * w + 1] |= 1 << (2 * u)
     best = n - 1
     for u in _bits(full & ~g.adj[v] & ~(1 << v)):
-        best = min(best, _split_flow_value(g, v, u))
+        best = min(best, _split_flow_value(arc, v, u))
     nbrs = list(_bits(g.adj[v]))
     for i, x in enumerate(nbrs):
         for y in nbrs[i + 1:]:
             if not g.has_edge(x, y):
-                best = min(best, _split_flow_value(g, x, y))
+                best = min(best, _split_flow_value(arc, x, y))
     return best
 
 

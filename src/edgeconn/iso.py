@@ -65,7 +65,7 @@ def _refine(adj, cells):
     return cells
 
 
-def canonical_labeling(g: Graph):
+def _canonical_rows(n: int, adj):
     """Return (perm, encoding, automorphisms) for the minimal relabeling.
 
     ``perm[i]`` is the original vertex taking canonical label i.  The
@@ -74,11 +74,6 @@ def canonical_labeling(g: Graph):
     automorphism list holds the (possibly partial) set of symmetries found
     while pruning the search; asymmetric graphs come back with an empty list.
     """
-    return _canonical_rows(g.n, g.adj)
-
-
-def _canonical_rows(n: int, adj):
-    """Rows-level canonical search; see canonical_labeling."""
     if n == 0:
         return (), 0, []
     cells = _refine(adj, [(1 << n) - 1])
@@ -143,7 +138,7 @@ def _canonical_rows(n: int, adj):
 
 def canonical_form(g: Graph) -> str:
     """Return a canonical graph6 string: equal iff the graphs are isomorphic."""
-    perm, _, _ = canonical_labeling(g)
+    perm, _, _ = _canonical_rows(g.n, g.adj)
     if g.n == 0:
         return to_graph6(g)
     return to_graph6(relabel(g, perm))
@@ -152,7 +147,7 @@ def canonical_form(g: Graph) -> str:
 def are_isomorphic(a: Graph, b: Graph) -> bool:
     if a.n != b.n or a.m != b.m or a.degree_sequence() != b.degree_sequence():
         return False
-    return canonical_labeling(a)[1] == canonical_labeling(b)[1]
+    return _canonical_rows(a.n, a.adj)[1] == _canonical_rows(b.n, b.adj)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +302,6 @@ class PatternSet:
     def label(self) -> str:
         inner = ",".join(p.label for p in self.patterns)
         return "{%s}" % inner if len(self.patterns) > 1 else inner
-
-    def graphs(self) -> list[Graph]:
-        return [p.graph for p in self.patterns]
 
     def check_order(self) -> list[Graph]:
         """Members ordered small-to-large, the cheap-reject order for scans."""

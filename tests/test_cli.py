@@ -334,6 +334,10 @@ class TestSubprocessEntry:
         proc = invoke_subprocess("verify", "--pair", "K12,P4", "--n-max", "4", timeout=20)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["claim_id"] == "kappa_prime_delta:{K12,P4}"
+        # the witness catalogue is matched member by member, not by canonical form
+        proc = invoke_subprocess("mine", "--pair", "K12,P4", "--n-max", "4", timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout) == {"pair": "{K12,P4}", "witness": None}
 
     def test_workers_env_default(self):
         proc = invoke_subprocess(

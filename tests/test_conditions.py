@@ -16,6 +16,7 @@ from edgeconn import (
     make_family_member,
     path_graph,
     star,
+    walk,
 )
 from edgeconn.graphs import Graph
 
@@ -99,7 +100,36 @@ class TestDomain:
             condition_implication_rows(Graph(1, (0,)))
 
 
+# graphs of walk(7) on which each hypothesis holds, from the earlier
+# implementation with one predicate per condition (995 graphs)
+FIRED_N7 = {
+    Condition.chartrand: 186,
+    Condition.lesniak: 232,
+    Condition.plesnik_diam2: 457,
+    Condition.volkmann_bipartite: 18,
+    Condition.plesnik_znam_quadruple: 911,
+    Condition.plesnik_znam_bipartite_diam3: 42,
+    Condition.xu_pairing: 423,
+    Condition.dankelmann_volkmann: 192,
+}
+
+
 class TestSoundness:
+    def test_fired_counts_pinned(self):
+        # a total alone cannot see two hypotheses swapped
+        fired = dict.fromkeys(Condition, 0)
+        graphs = 0
+        for g in walk(7):
+            graphs += 1
+            rows = condition_implication_rows(g)
+            assert [row.condition for row in rows] == list(Condition)
+            for row in rows:
+                assert condition_holds(row.condition, g) == row.holds, (g, row.condition)
+                fired[row.condition] += row.holds
+        assert graphs == 995
+        assert fired == FIRED_N7
+        assert sum(fired.values()) == 2461
+
     def test_no_violations_small(self, levels6):
         stats = {cond: 0 for cond in Condition}
         for n in range(2, 7):

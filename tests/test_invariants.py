@@ -111,6 +111,16 @@ class TestOracleSweeps:
         assert vertex_connectivity(g) == vertex_cut_oracle(g)
 
 
+class TestNetworkxOracle:
+    def test_order_seven_matches_networkx(self, levels7):
+        nx = pytest.importorskip("networkx")
+        assert len(levels7[7]) == 853
+        for g in levels7[7]:
+            h = nx.Graph(g.edges())
+            assert vertex_connectivity(g) == nx.node_connectivity(h), g.edges()
+            assert edge_connectivity(g) == nx.edge_connectivity(h), g.edges()
+
+
 class TestCutCertificate:
     def check(self, g):
         cert = min_edge_cut(g)

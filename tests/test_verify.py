@@ -165,11 +165,10 @@ class TestWitnessRecordValidation:
 
 
 def use_catalogue(monkeypatch, *specs):
-    """Stand in for the atlas witness catalogue, with a fresh lookup table."""
+    """Stand in for the atlas witness catalogue."""
     from edgeconn import atlas
 
     monkeypatch.setattr(atlas, "_WITNESS_SPECS", specs)
-    monkeypatch.setattr(atlas, "_WITNESS_TABLE", {})
 
 
 class TestWitnessSweep:
