@@ -3,8 +3,9 @@
 Each hypothesis applies to a connected graph on at least two vertices, and
 every one of them implies that edge connectivity equals minimum degree,
 which the implication rows make checkable en masse.  All eight come from one
-pass per graph that computes the degrees, one distance matrix, one
-bipartition and the clique number once.
+pass per graph that computes the degrees, one layer walk per source (the
+diameter and the radius-2 balls), one bipartition and the clique number
+once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, GraphError, bfs_distances, bipartition_mask, is_connected
+from .graphs import Graph, GraphError, _layers, bipartition_mask, is_connected
 from .invariants import clique_number, edge_connectivity, min_degree
 from .matching import matching_number
 
@@ -44,9 +45,11 @@ def _hypotheses(g: Graph) -> list[bool]:
     adj = g.adj
     deg = [row.bit_count() for row in adj]
     delta = min(deg)
-    dist = [bfs_distances(g, s) for s in range(n)]
-    diam = max(max(row) for row in dist)
-    far = [sum(1 << u for u, d in enumerate(row) if d >= 3) for row in dist]
+    layers = [_layers(adj, s) for s in range(n)]
+    diam = max(ecc for ecc, _ in layers)
+    # the vertices at distance >= 3 are those outside the radius-2 ball
+    full = (1 << n) - 1
+    far = [full & ~ball2 for _, ball2 in layers]
     bipartite = bipartition_mask(g) is not None
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     # Xu's pairs are realized as a maximum matching in the auxiliary graph

@@ -178,9 +178,35 @@ def distance_matrix(g: Graph) -> list[list[int]]:
     return [bfs_distances(g, s) for s in range(g.n)]
 
 
+def _layers(adj, source: int) -> tuple[int, int]:
+    """Return (eccentricity of ``source``, mask of its radius-2 ball).
+
+    One BFS over frontier masks that counts layers instead of writing
+    distances; only vertices reachable from ``source`` are seen.
+    """
+    seen = frontier = 1 << source
+    ecc = 0
+    ball2 = seen
+    while True:
+        grow = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            grow |= adj[b.bit_length() - 1]
+        frontier = grow & ~seen
+        if not frontier:
+            return ecc, ball2
+        seen |= frontier
+        ecc += 1
+        if ecc <= 2:
+            ball2 = seen
+
+
 def diameter(g: Graph) -> int:
     """Return the largest pairwise distance; raises on disconnected input."""
-    return max(max(row) for row in distance_matrix(g))
+    if not is_connected(g):
+        raise GraphError("distance matrix requires a connected graph")
+    return max(_layers(g.adj, s)[0] for s in range(g.n))
 
 
 def bipartition_mask(g: Graph) -> int | None:

@@ -1,9 +1,12 @@
 """Exact connectivity invariants for small graphs.
 
-Edge connectivity comes from unit-capacity augmenting-path flow, minimized
-over all sinks from a fixed source.  Vertex connectivity uses the usual
-vertex-split network over a dominating family of nonadjacent pairs.  Both
-are cheap at the orders this package scans (n well under a hundred).
+Edge connectivity comes from unit-capacity augmenting-path flow from one
+source to the sinks of a dominating set, each flow capped at the best value
+so far (the minimum degree to begin with).  Minimum edge cut certificates
+still take every sink, for their least-sink tie-break.  Vertex connectivity
+uses the usual vertex-split network over a dominating family of nonadjacent
+pairs.  Both are cheap at the orders this package scans (n well under a
+hundred).
 """
 
 from __future__ import annotations
@@ -28,16 +31,18 @@ def max_degree(g: Graph) -> int:
     return max(row.bit_count() for row in g.adj)
 
 
-def _edge_flow_value(adj, n, s, t):
-    """Unit-capacity max flow s->t on the bidirected edge network.
+def _edge_flow_value(adj, n, s, t, cap):
+    """Unit-capacity max flow s->t on the bidirected edge network, up to ``cap``.
 
     Returns (value, fmask) where fmask[u] bit v says a unit flows u->v.
-    Pushing against an opposite unit cancels it, so fmask rows stay disjoint
-    and residual capacity u->v is positive exactly when fmask[u] bit v is 0.
+    Augmenting stops once value reaches ``cap``, so a value below ``cap`` is
+    the maximum flow.  Pushing against an opposite unit cancels it, so fmask
+    rows stay disjoint and residual capacity u->v is positive exactly when
+    fmask[u] bit v is 0.
     """
     fmask = [0] * n
     value = 0
-    while True:
+    while value < cap:
         parent = [-1] * n
         parent[s] = s
         seen = 1 << s
@@ -52,7 +57,7 @@ def _edge_flow_value(adj, n, s, t):
                     nxt.append(v)
             queue = nxt
         if parent[t] == -1:
-            return value, fmask
+            break
         v = t
         while v != s:
             u = parent[v]
@@ -62,29 +67,41 @@ def _edge_flow_value(adj, n, s, t):
                 fmask[u] |= 1 << v
             v = u
         value += 1
+    return value, fmask
 
 
-def _min_sink_flow(g: Graph, what: str):
-    """The least flow from source 0 over the sinks 1..n-1, as (value, fmask).
-
-    Ties keep the lexicographically least sink.  ``what`` names the caller's
-    quantity in the errors for graphs it is undefined on.
-    """
+def _require_cut_domain(g: Graph, what: str):
+    """Reject the graphs a cut is undefined on; ``what`` names the quantity."""
     if g.n < 2:
         raise GraphError(f"{what} needs at least two vertices")
     if not is_connected(g):
         raise GraphError(f"{what} is defined here for connected graphs")
-    best = None
-    for t in range(1, g.n):
-        flow = _edge_flow_value(g.adj, g.n, 0, t)
-        if best is None or flow[0] < best[0]:
-            best = flow
-    return best
 
 
 def edge_connectivity(g: Graph) -> int:
-    """Return the minimum number of edges whose removal disconnects g."""
-    return _min_sink_flow(g, "edge connectivity")[0]
+    """Return the minimum number of edges whose removal disconnects g.
+
+    Flows run from vertex 0 only to the other members of a greedy dominating
+    set D seeded at 0 (Matula, FOCS 1987).  If the edge connectivity is below
+    the minimum degree delta, each side of a minimum cut has more than delta
+    vertices: a side of k <= delta vertices sends at least k(delta - k + 1)
+    >= delta edges across.  Fewer than delta of its vertices touch the cut,
+    so each side holds a vertex with no neighbour across it, and the member
+    of D that dominates that vertex lies on the same side.  D therefore meets
+    both sides, and the answer is min(delta, lambda(0, t) for t in D - {0}).
+    Each flow is capped at the best value so far, which starts at delta.
+    """
+    _require_cut_domain(g, "edge connectivity")
+    adj = g.adj
+    n = g.n
+    best = min(row.bit_count() for row in adj)
+    dominated = adj[0] | 1
+    for t in range(1, n):
+        if dominated >> t & 1:
+            continue
+        dominated |= adj[t] | 1 << t
+        best = min(best, _edge_flow_value(adj, n, 0, t, best)[0])
+    return best
 
 
 @dataclass(frozen=True)
@@ -118,7 +135,14 @@ def min_edge_cut(g: Graph) -> CutCertificate:
     Ties break by the lexicographically least sink whose flow attains the
     minimum; side1 is then the residual-reachable side of the source.
     """
-    best, best_fmask = _min_sink_flow(g, "an edge cut")
+    _require_cut_domain(g, "an edge cut")
+    # every lambda(0, t) is below n; a flow capped at the best so far cannot
+    # undercut it, so the capped flows never change the certificate
+    best, best_fmask = g.n, None
+    for t in range(1, g.n):
+        value, fmask = _edge_flow_value(g.adj, g.n, 0, t, best)
+        if value < best:
+            best, best_fmask = value, fmask
     # residual reachability from the source fixes side1
     seen = 1
     frontier = 1

@@ -1,5 +1,7 @@
 """Connectivity invariants against brute-force oracles and frozen values."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from edgeconn import (
     cut_interior_property,
     cycle_graph,
     diameter,
+    distance_matrix,
     edge_connectivity,
     from_edges,
     is_chordal,
@@ -23,10 +26,12 @@ from edgeconn import (
     path_graph,
     spider,
     star,
+    to_graph6,
     triangle_with_tail,
     vertex_connectivity,
+    walk,
 )
-from edgeconn.graphs import Graph
+from edgeconn.graphs import Graph, is_connected
 from edgeconn.oracles import edge_cut_oracle, vertex_cut_oracle
 
 from test_iso import graph_from_mask, labeled_graphs
@@ -71,13 +76,17 @@ class TestFrozenValues:
         assert (vertex_connectivity(b), edge_connectivity(b), min_degree(b)) == (1, 2, 2)
 
     def test_single_vertex_and_edge(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^edge connectivity needs at least two vertices$"):
             edge_connectivity(Graph(1, (0,)))
+        with pytest.raises(GraphError, match="^edge connectivity is defined here for connected graphs$"):
+            edge_connectivity(from_edges(4, [(0, 1), (2, 3)]))
         # the one-vertex graph is complete, so vertex connectivity is n - 1
         assert vertex_connectivity(Graph(1, (0,))) == 0
         with pytest.raises(GraphError):
             min_degree(Graph(0, ()))
+        # vertex 0 dominates K2 and K_n, so no flow runs and delta is the answer
         assert edge_connectivity(complete_graph(2)) == 1
+        assert edge_connectivity(complete_graph(9)) == 8
         assert vertex_connectivity(complete_graph(2)) == 1
 
 
@@ -111,14 +120,65 @@ class TestOracleSweeps:
         assert vertex_connectivity(g) == vertex_cut_oracle(g)
 
 
+def _gap_prone_graphs(seed, count):
+    """Connected random graphs on 9..18 vertices, about half of them two dense
+    halves joined by one to three edges, so that many have kappa' < delta."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(9, 18)
+        rows = [0] * n
+        split = rng.randint(3, n - 3) if rng.random() < 0.5 else n
+        p = rng.uniform(0.55, 0.95) if split < n else rng.uniform(0.2, 0.7)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u < split) == (v < split) and rng.random() < p]
+        if split < n:
+            edges += [(rng.randrange(split), rng.randrange(split, n))
+                      for _ in range(rng.randint(1, 3))]
+        # shuffled labels put the two halves' vertices anywhere in the order
+        label = list(range(n))
+        rng.shuffle(label)
+        for u, v in edges:
+            rows[label[u]] |= 1 << label[v]
+            rows[label[v]] |= 1 << label[u]
+        g = Graph(n, rows)
+        if is_connected(g):
+            out.append(g)
+    return out
+
+
+class TestSecondRoute:
+    def test_dominating_sinks_and_layers_match_full_routes(self):
+        """kappa' from dominating-set sinks equals the all-sinks cut value, and
+        the layer-count diameter equals the distance matrix's largest entry."""
+        gs = list(walk(8)) + _gap_prone_graphs(seed=9, count=1500)
+        assert len(gs) == 12112 + 1500
+        gaps = 0
+        for g in gs:
+            kp = edge_connectivity(g)
+            assert kp == min_edge_cut(g).value, to_graph6(g)
+            assert diameter(g) == max(max(row) for row in distance_matrix(g)), to_graph6(g)
+            gaps += kp < min_degree(g)
+        # the dominating-set lemma only matters on graphs with kappa' < delta
+        assert gaps >= 200
+
+
 class TestNetworkxOracle:
-    def test_order_seven_matches_networkx(self, levels7):
+    def check(self, gs):
         nx = pytest.importorskip("networkx")
-        assert len(levels7[7]) == 853
-        for g in levels7[7]:
+        for g in gs:
             h = nx.Graph(g.edges())
             assert vertex_connectivity(g) == nx.node_connectivity(h), g.edges()
             assert edge_connectivity(g) == nx.edge_connectivity(h), g.edges()
+
+    def test_order_seven_matches_networkx(self, levels7):
+        assert len(levels7[7]) == 853
+        self.check(levels7[7])
+
+    def test_order_eight_sample_matches_networkx(self, levels8):
+        sample = levels8[8][::10]
+        assert len(sample) == 1112
+        self.check(sample)
 
 
 class TestCutCertificate:
