@@ -5,7 +5,9 @@ every connected n-vertex graph arises from a connected (n-1)-vertex parent
 by attaching a new vertex, and a child is kept only when deleting its
 canonically chosen removable vertex recovers this very parent.  Each class
 then survives exactly one parent, and a per-parent form set removes the
-remaining sibling duplicates, so no global seen-set is needed.
+remaining sibling duplicates, so no global seen-set is needed.  Neighbourhood
+masks in one orbit of the parent's automorphism group give isomorphic
+children, so only the least mask of each orbit is tried.
 
 Degree lemma.  The canonical search's first refinement splits the vertex set
 by degree, ascending, and every later step only splits cells in place, so the
@@ -18,6 +20,23 @@ in degree is rejected before it is canonically labelled, and only vertices of
 degree at least the new vertex's need the non-cut test at all (the new vertex
 itself is never a cut vertex: deleting it leaves the connected parent).  The
 accepted children, and their order, are exactly those of the full test.
+
+Cut-table lemma.  A parent vertex v is a non-cut vertex of the child exactly
+when the new vertex is adjacent to every component of parent - v, since in
+child - v the new vertex joins exactly the components it touches.  When the parent has one vertex, parent - v has no
+component and v is non-cut vacuously.  So the components of parent - v are
+found once per parent, and each candidate's non-cut test is one mask test per
+component, not one search per vertex.
+
+Cell lemma.  Since the search only splits cells in place, the canonical order
+also keeps the order of the cells of the child's first refinement.  So the
+chosen vertex lies in the last of those cells that meets the removable set
+(the new vertex included).  If the new vertex is not in that cell, the chosen
+vertex is another vertex u of it, and acceptance needs child - u to be
+isomorphic to the parent.  The cell is equitable, so every u in it leaves the
+same degree multiset, and a candidate whose child - u fails the parent's
+degree sequence is rejected before the canonical search.  When the new vertex
+is in that cell the same equitability makes the degree test always pass.
 """
 
 from __future__ import annotations
@@ -27,7 +46,7 @@ from collections.abc import Iterable, Iterator
 from multiprocessing import get_context
 
 from .graphs import Graph, GraphError, Graph6Error, component_mask, from_graph6, to_graph6
-from .iso import _as_graphs, _canonical_rows, _find_rows, is_free
+from .iso import _as_graphs, _canonical_rows, _find_rows, _refine, is_free
 
 MAX_ENUM_ORDER = 9
 
@@ -35,14 +54,91 @@ _levels: dict[int, tuple[Graph, ...]] = {1: (Graph(1, (0,)),)}
 
 
 def _non_cut_vertices(n: int, adj, candidates) -> list[int]:
-    """The candidates whose deletion keeps the (connected) graph connected."""
+    """The candidates whose deletion keeps the (connected) graph connected.
+
+    The one vertex of a 1-vertex graph counts as non-cut.
+    """
     out = []
     full = (1 << n) - 1
     for v in candidates:
         rest = full ^ (1 << v)
-        if component_mask(adj, 0 if v else 1, rest) == rest:  # search from the lowest kept vertex
+        if not rest or component_mask(adj, 0 if v else 1, rest) == rest:  # search from the lowest kept vertex
             out.append(v)
     return out
+
+
+def _cut_table(n: int, adj) -> list[tuple[int, ...]]:
+    """For each vertex v of a connected graph, the component masks of graph - v."""
+    full = (1 << n) - 1
+    non_cut = set(_non_cut_vertices(n, adj, range(n)))
+    table = []
+    for v in range(n):
+        rest = full ^ (1 << v)
+        if v in non_cut:
+            table.append((rest,) if rest else ())
+            continue
+        comps = []
+        while rest:
+            comp = component_mask(adj, (rest & -rest).bit_length() - 1, rest)
+            comps.append(comp)
+            rest ^= comp
+        table.append(tuple(comps))
+    return table
+
+
+def _orbit_leaders(n: int, autos) -> list[int]:
+    """The nonzero vertex masks that are least in their orbit under the group
+    the automorphisms generate, ascending."""
+    size = 1 << n
+    if not autos:
+        return list(range(1, size))
+    images = []
+    for a in autos:
+        img = [0] * size
+        for m in range(1, size):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << a[low.bit_length() - 1]
+        images.append(img)
+    seen = bytearray(size)
+    leaders = []
+    for mask in range(1, size):
+        if seen[mask]:
+            continue
+        leaders.append(mask)
+        seen[mask] = 1
+        todo = [mask]
+        while todo:
+            m = todo.pop()
+            for img in images:
+                x = img[m]
+                if not seen[x]:
+                    seen[x] = 1
+                    todo.append(x)
+    return leaders
+
+
+def _removable(pn: int, rows, cut_table) -> int:
+    """The removable vertices of a child as a mask, the new vertex pn included.
+
+    By the degree lemma only vertices of degree at least the new vertex's
+    count, and 0 comes back when one of them outranks it; the cut table
+    decides which are non-cut (module docstring).
+    """
+    mask = rows[pn]
+    d = mask.bit_count()
+    removable = 1 << pn
+    for v in range(pn):
+        dv = rows[v].bit_count()
+        if dv >= d and all(mask & comp for comp in cut_table[v]):
+            if dv > d:
+                return 0
+            removable |= 1 << v
+    return removable
+
+
+def _last_cell(cells, want: int) -> int:
+    """The last cell of an ordered partition that meets the mask ``want``."""
+    return next(cell for cell in reversed(cells) if cell & want)
 
 
 def _delete_rows(n: int, adj, v: int):
@@ -65,47 +161,36 @@ def _expand(parent: Graph, patterns) -> list[Graph]:
     ``patterns`` (graphs; smallest first rejects soonest) the parent must be
     free of them, and only the free children are returned: any copy of a
     pattern in a child then uses the new vertex, so the search is pinned
-    there, after the degree lemma and before canonical labelling.
+    there, after the cell test and before canonical labelling.
     """
     pn = parent.n
     n = pn + 1
+    new = 1 << pn
     padj = parent.adj
     _, parent_enc, parent_autos = _canonical_rows(pn, padj)
     parent_degs = sorted(r.bit_count() for r in padj)
+    cut_table = _cut_table(pn, padj)
     out = []
     seen_encs = set()
-    handled_masks = set()
-    for mask in range(1, 1 << pn):
-        if parent_autos:
-            if mask in handled_masks:
-                continue
-            for a in parent_autos:
-                img = 0
-                m = mask
-                while m:
-                    b = m & -m
-                    m ^= b
-                    img |= 1 << a[b.bit_length() - 1]
-                if img != mask:
-                    handled_masks.add(img)
-        rows = [padj[v] | (1 << pn) if mask >> v & 1 else padj[v] for v in range(pn)]
+    for mask in _orbit_leaders(pn, parent_autos):
+        rows = [padj[v] | new if mask >> v & 1 else padj[v] for v in range(pn)]
         rows.append(mask)
-        # degree lemma (module docstring): no non-cut vertex may outrank the new one
-        d = mask.bit_count()
-        removable = _non_cut_vertices(n, rows, [v for v in range(pn) if rows[v].bit_count() >= d])
-        if any(rows[v].bit_count() > d for v in removable):
+        removable = _removable(pn, rows, cut_table)
+        if not removable:
             continue
+        # cell lemma: vstar lies in the last cell of the first refinement that meets removable
+        cells = _refine(rows, [(1 << n) - 1])
+        top = _last_cell(cells, removable)
+        if not top & new:
+            u = (top & -top).bit_length() - 1  # any vertex of an equitable cell gives the same degrees
+            if sorted(r.bit_count() for r in _delete_rows(n, rows, u)) != parent_degs:
+                continue
         if any(_find_rows(n, rows, p, pn) is not None for p in patterns):
             continue
-        perm, enc, _ = _canonical_rows(n, rows)
-        removable.append(pn)
-        vstar = max(removable, key=perm.index)
-        if vstar != pn:
-            reduced = _delete_rows(n, rows, vstar)
-            if sorted(r.bit_count() for r in reduced) != parent_degs:
-                continue
-            if _canonical_rows(pn, reduced)[1] != parent_enc:
-                continue
+        perm, enc, _ = _canonical_rows(n, rows, cells)
+        vstar = next(v for v in reversed(perm) if removable >> v & 1)
+        if vstar != pn and _canonical_rows(pn, _delete_rows(n, rows, vstar))[1] != parent_enc:
+            continue
         if enc not in seen_encs:
             seen_encs.add(enc)
             out.append(Graph(n, rows))

@@ -65,18 +65,42 @@ def _refine(adj, cells):
     return cells
 
 
-def _canonical_rows(n: int, adj):
+def _find(orbit, x: int) -> int:
+    """The root of x in a union-find list; the root is the least vertex of its orbit."""
+    while orbit[x] != x:
+        orbit[x] = x = orbit[orbit[x]]
+    return x
+
+
+def _join(orbit, x: int, y: int) -> None:
+    """Merge the orbits of x and y, keeping the lesser root."""
+    x, y = _find(orbit, x), _find(orbit, y)
+    if x != y:
+        orbit[max(x, y)] = min(x, y)
+
+
+def _canonical_rows(n: int, adj, cells=None):
     """Return (perm, encoding, automorphisms) for the minimal relabeling.
 
     ``perm[i]`` is the original vertex taking canonical label i.  The
     encoding packs the relabeled upper triangle, column by column, into one
-    int, so equal encodings at equal n mean isomorphic graphs.  The
-    automorphism list holds the (possibly partial) set of symmetries found
-    while pruning the search; asymmetric graphs come back with an empty list.
+    int, so equal encodings at equal n mean isomorphic graphs.  ``cells``,
+    when given, must be ``_refine(adj, [(1 << n) - 1])``, so a caller that
+    already refined the graph does not refine it again.
+
+    The automorphism list is a generating set of the automorphism group
+    (not the whole group); asymmetric graphs come back with an empty list.
+    The search skips a vertex when it lies in the orbit of an explored
+    sibling under the group generated by the automorphisms found so far that
+    fix the prefix pointwise.  A skipped subtree is then an automorphic image
+    of an explored one, so it holds no leaf that is new or earlier, and the
+    first least leaf, hence ``perm`` and the encoding, do not depend on the
+    pruning (McKay and Piperno, J. Symbolic Comput. 60, 2014).
     """
     if n == 0:
         return (), 0, []
-    cells = _refine(adj, [(1 << n) - 1])
+    if cells is None:
+        cells = _refine(adj, [(1 << n) - 1])
     best_enc = None
     best_perm = None
     autos: list[tuple[int, ...]] = []
@@ -111,18 +135,24 @@ def _canonical_rows(n: int, adj):
         else:
             leaf(cells_)
             return
+        # union-find over the cell (each generator fixing the prefix maps the
+        # cell onto itself); each automorphism is read once at this node
+        orbit = list(range(n))
+        read = 0
         explored = []
         m = cell
         while m:
             b = m & -m
             m ^= b
             v = b.bit_length() - 1
-            pruned = False
-            for a in autos:
-                if a[v] in explored and all(a[p] == p for p in prefix):
-                    pruned = True
-                    break
-            if pruned:
+            while read < len(autos):
+                a = autos[read]
+                read += 1
+                if all(a[p] == p for p in prefix):
+                    for u in _bits(cell):
+                        _join(orbit, u, a[u])
+            root = _find(orbit, v)
+            if any(_find(orbit, w) == root for w in explored):
                 continue
             rest = cell ^ b
             branched = cells_[:idx] + [b, rest] + cells_[idx + 1:]
@@ -191,19 +221,13 @@ def _pinned_plans(pattern: Graph):
 
     One start per orbit of the automorphisms the canonical search finds
     suffices, since symmetric starts find the same copies.  Kept apart from
-    the unpinned plan, which needs no canonical search: that search is slow
-    on large symmetric patterns such as K12.
+    the unpinned plan, which needs no canonical search.
     """
     pn = pattern.n
-    orbit = list(range(pn))  # union-find; each root is the least vertex of its orbit
+    orbit = list(range(pn))
     for a in _canonical_rows(pn, pattern.adj)[2]:
         for v in range(pn):
-            x, y = orbit[v], orbit[a[v]]
-            while orbit[x] != x:
-                x = orbit[x]
-            while orbit[y] != y:
-                y = orbit[y]
-            orbit[max(x, y)] = min(x, y)
+            _join(orbit, v, a[v])
     return tuple(_match_plan(pattern, v) for v in range(pn) if orbit[v] == v)
 
 

@@ -1,6 +1,7 @@
 """Connected-graph enumerator: counts, uniqueness, parallel merge, walks, streams."""
 
 import hashlib
+import random
 from collections import defaultdict
 
 import pytest
@@ -14,6 +15,7 @@ from edgeconn import (
     complete_graph,
     connected_level,
     expand_children,
+    from_edges,
     is_free,
     parse_pattern_set,
     path_graph,
@@ -24,7 +26,8 @@ from edgeconn import (
     write_graph6_stream,
 )
 from edgeconn import enumeration
-from edgeconn.graphs import induced, is_connected
+from edgeconn.graphs import Graph, induced, is_connected
+from edgeconn.iso import _canonical_rows, _refine
 from edgeconn.oracles import connected_class_count_oracle
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -59,6 +62,13 @@ def brute_non_cut(g):
     return [v for v in range(g.n) if is_connected(induced(g, full ^ (1 << v)))]
 
 
+def child_rows(parent, mask):
+    """The rows of the one-vertex extension whose new vertex sees ``mask``."""
+    rows = [r | 1 << parent.n if mask >> v & 1 else r for v, r in enumerate(parent.adj)]
+    rows.append(mask)
+    return rows
+
+
 class TestCounts:
     def test_published_sequence(self, levels7):
         for n, want in EXPECTED_COUNTS.items():
@@ -79,6 +89,23 @@ class TestCounts:
         for n in range(1, 7):
             for g in levels6[n]:
                 assert g.n == n and is_connected(g)
+
+
+class TestAtlasOracle:
+    def test_forms_match_networkx_atlas(self, levels7):
+        # an independent list of the classes: networkx's graph atlas, each graph
+        # relabelled by a seeded shuffle before it is canonically labelled
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2017)
+        forms = defaultdict(list)
+        for h in nx.graph_atlas_g():
+            n = h.number_of_nodes()
+            if 2 <= n <= 7 and nx.is_connected(h):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                forms[n].append(canonical_form(from_edges(n, [(perm[u], perm[v]) for u, v in h.edges()])))
+        for n in range(2, 8):
+            assert sorted(forms[n]) == sorted(canonical_form(g) for g in levels7[n]), n
 
 
 class TestExpansion:
@@ -133,6 +160,45 @@ class TestExpansion:
                 for cands in subsets:
                     got = enumeration._non_cut_vertices(n, g.adj, cands)
                     assert got == [v for v in cands if v in want], (to_graph6(g), cands)
+
+    def test_non_cut_vertex_of_single_vertex(self):
+        assert enumeration._non_cut_vertices(1, (0,), [0]) == [0]
+
+    def test_cut_table_matches_brute_force(self, levels6):
+        # v < pn is non-cut in a child exactly when the new vertex meets every
+        # component of parent - v; vacuously so when the parent has one vertex
+        for pn in range(1, 7):
+            for parent in levels6[pn]:
+                table = enumeration._cut_table(pn, parent.adj)
+                for mask in range(1, 1 << pn):
+                    child = Graph(pn + 1, child_rows(parent, mask))
+                    want = [v for v in brute_non_cut(child) if v < pn]
+                    got = [v for v in range(pn) if all(mask & comp for comp in table[v])]
+                    assert got == want, (to_graph6(parent), mask)
+
+    def test_last_removable_lies_in_last_meeting_cell(self, levels7):
+        # the cell lemma _expand rejects by: on every candidate that passes the
+        # degree lemma, the last removable vertex in canonical order lies in the
+        # last cell of the first refinement that meets the removable set
+        checked = 0
+        for pn in range(1, 8):
+            n = pn + 1
+            for parent in levels7[pn]:
+                for mask in range(1, 1 << pn):
+                    rows = child_rows(parent, mask)
+                    d = mask.bit_count()
+                    non_cut = enumeration._non_cut_vertices(n, rows, range(pn))
+                    if any(rows[v].bit_count() > d for v in non_cut):
+                        continue
+                    removable = 1 << pn
+                    for v in non_cut:
+                        removable |= 1 << v
+                    perm = _canonical_rows(n, rows)[0]
+                    vstar = next(v for v in reversed(perm) if removable >> v & 1)
+                    top = enumeration._last_cell(_refine(rows, [(1 << n) - 1]), removable)
+                    assert top >> vstar & 1, (to_graph6(parent), mask)
+                    checked += 1
+        assert checked == 26497
 
     def test_range_validation(self):
         with pytest.raises(GraphError):

@@ -1,6 +1,9 @@
 """Canonical labeling, induced-subgraph search, and pattern-set comparison."""
 
+import hashlib
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,9 @@ from edgeconn import (
     bridged_triangles,
     canonical_form,
     characterized_sets,
+    complete_bipartite,
     complete_graph,
+    connected_level,
     contains_induced,
     cycle_graph,
     find_induced,
@@ -34,8 +39,9 @@ from edgeconn import (
     star,
     to_graph6,
     triangle_with_tail,
+    walk,
 )
-from edgeconn.iso import relabel
+from edgeconn.iso import _canonical_rows, _find, _join, relabel
 from edgeconn.oracles import contains_induced_oracle
 
 
@@ -58,7 +64,74 @@ def labeled_graphs(draw, max_n=8):
     return graph_from_mask(n, mask)
 
 
+# sha256 of one "n perm enc" line per _canonical_rows call, over walk(7) and
+# every one-vertex extension (every neighbourhood mask) of every connected graph
+# of order <= 6; computed before the search pruned by group orbits
+CANONICAL_SHA256 = "14146e17722bb3732c569cde737ca34a118bb4c1e68a9ed87450336111b61cea"
+
+SYMMETRIC_SCRIPT = """
+import random
+from edgeconn import canonical_form, complete_bipartite, complete_graph, cycle_graph
+from edgeconn.iso import relabel
+rng = random.Random(12)
+for g in (complete_graph(12), complete_bipartite(6, 6), cycle_graph(12)):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    assert canonical_form(relabel(g, perm)) == canonical_form(g)
+print("ok")
+"""
+
+
+def orbit_partition(n, autos):
+    """The vertex orbits of the group the automorphisms generate."""
+    orbit = list(range(n))
+    for a in autos:
+        for v in range(n):
+            _join(orbit, v, a[v])
+    return [_find(orbit, v) for v in range(n)]
+
+
+def brute_orbits(g):
+    """The automorphism orbits of g, by testing every permutation."""
+    autos = [p for p in itertools.permutations(range(g.n))
+             if all(g.has_edge(p[u], p[v]) == g.has_edge(u, v)
+                    for u, v in itertools.combinations(range(g.n), 2))]
+    return orbit_partition(g.n, autos)
+
+
+class TestCanonicalIdentity:
+    def test_labels_pinned(self):
+        inputs = [(g.n, g.adj) for g in walk(7)]
+        for parent in [Graph(1, (0,))] + list(walk(6)):
+            pn = parent.n
+            for mask in range(1, 1 << pn):
+                rows = [r | 1 << pn if mask >> v & 1 else r for v, r in enumerate(parent.adj)]
+                inputs.append((pn + 1, rows + [mask]))
+        digest = hashlib.sha256()
+        for n, adj in inputs:
+            perm, enc, _ = _canonical_rows(n, adj)
+            digest.update(f"{n} {list(perm)} {enc}\n".encode())
+        assert len(inputs) == 8810
+        assert digest.hexdigest() == CANONICAL_SHA256
+
+    def test_automorphisms_generate_every_orbit(self):
+        # every graph of order <= 6 is connected or has a connected complement
+        for n in range(1, 7):
+            full = (1 << n) - 1
+            for g in connected_level(n):
+                for h in (g, Graph(n, [full ^ 1 << v ^ r for v, r in enumerate(g.adj)])):
+                    got = orbit_partition(n, _canonical_rows(n, h.adj)[2])
+                    assert got == brute_orbits(h), to_graph6(h)
+
+
 class TestCanonical:
+    def test_symmetric_graphs_finish(self):
+        # orbit pruning keeps the search small on K12, K6,6 and C12
+        proc = subprocess.run([sys.executable, "-c", SYMMETRIC_SCRIPT],
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
+
     @given(labeled_graphs(), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
     def test_relabel_invariance(self, g, rng):
