@@ -6,7 +6,6 @@ from .graphs import (
     GraphError,
     bipartition_mask,
     diameter,
-    distance_matrix,
     from_edges,
     from_graph6,
     induced,
@@ -61,7 +60,6 @@ from .enumeration import (
 from .atlas import (
     CertificateError,
     FamilyMember,
-    NamedGraphSpec,
     bowtie,
     bridged_triangles,
     complete_bipartite,
@@ -69,7 +67,6 @@ from .atlas import (
     cycle_graph,
     known_witness,
     make_family_member,
-    make_named,
     parse_pattern_set,
     parse_pattern_token,
     path_graph,

@@ -103,37 +103,6 @@ def bowtie() -> Graph:
     return from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
 
-@dataclass(frozen=True)
-class NamedGraphSpec:
-    """A named-graph request: a kind token plus integer parameters."""
-
-    kind: str
-    params: tuple[int, ...] = ()
-
-
-_KINDS = {
-    "path": (1, lambda p: path_graph(*p)),
-    "cycle": (1, lambda p: cycle_graph(*p)),
-    "complete": (1, lambda p: complete_graph(*p)),
-    "complete_bipartite": (2, lambda p: complete_bipartite(*p)),
-    "star": (1, lambda p: star(*p)),
-    "Z": (1, lambda p: triangle_with_tail(*p)),
-    "T": (3, lambda p: spider(*p)),
-    "H0": (0, lambda p: bowtie()),
-    "H1": (0, lambda p: bridged_triangles()),
-}
-
-
-def make_named(spec: NamedGraphSpec) -> Graph:
-    """Build the graph a NamedGraphSpec describes; unknown kinds raise."""
-    if spec.kind not in _KINDS:
-        raise ValueError(f"unknown graph kind {spec.kind!r}")
-    arity, build = _KINDS[spec.kind]
-    if len(spec.params) != arity:
-        raise ValueError(f"kind {spec.kind!r} takes {arity} parameters, got {len(spec.params)}")
-    return build(spec.params)
-
-
 # ---------------------------------------------------------------------------
 # pattern vocabulary
 
@@ -165,7 +134,7 @@ def parse_pattern_token(token: str) -> Pattern:
     if tok.startswith("g6:"):
         return Pattern(from_graph6(tok[3:]), tok)
     if tok in ("H0", "H1"):
-        return Pattern(make_named(NamedGraphSpec(tok)), tok)
+        return Pattern(bowtie() if tok == "H0" else bridged_triangles(), tok)
     try:
         params = tuple(int(x) for x in tok[1:].split("_"))
         build, order = _TOKEN_SHAPES[tok[0], len(params)]
@@ -246,7 +215,13 @@ _FAMILY_RANGES = {
 }
 
 
+# family id -> number of parameters
+_FAMILY_ARITY = {1: 1, 2: 2, 3: 1, 4: 0, 5: 1, 6: 2, 7: 2}
+
+
 def _family_graph(family_id: int, params: tuple[int, ...]) -> Graph:
+    if family_id in _FAMILY_ARITY and len(params) != _FAMILY_ARITY[family_id]:
+        raise ValueError(f"family {family_id} expects {_FAMILY_RANGES[family_id]}")
     if family_id == 1:
         (t,) = params
         if not 3 <= t <= 16:
@@ -274,8 +249,6 @@ def _family_graph(family_id: int, params: tuple[int, ...]) -> Graph:
         edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
         return from_edges(l + 5, edges)
     if family_id == 4:
-        if params:
-            raise ValueError(f"family 4 expects {_FAMILY_RANGES[4]}")
         return bridged_triangles()
     if family_id == 5:
         (l,) = params

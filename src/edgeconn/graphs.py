@@ -1,4 +1,4 @@
-"""Small-graph kernel: immutable bit-row adjacency, graph6 codec, distances.
+"""Small-graph kernel: immutable bit-row adjacency, graph6 codec, diameter.
 
 Vertices are 0..n-1.  Each row of ``adj`` is an int whose bit v says whether
 the row vertex is adjacent to v, so neighborhood algebra is plain int
@@ -153,31 +153,6 @@ def is_connected(g: Graph) -> bool:
     return component_mask(g.adj, 0, full) == full
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Return BFS distances from ``source``; unreachable vertices get -1."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = seen
-    d = 0
-    while frontier:
-        grow = 0
-        for v in _bits(frontier):
-            grow |= g.adj[v]
-        frontier = grow & ~seen
-        seen |= frontier
-        d += 1
-        for v in _bits(frontier):
-            dist[v] = d
-    return dist
-
-def distance_matrix(g: Graph) -> list[list[int]]:
-    """Return all pairwise distances; raises on disconnected input."""
-    if not is_connected(g):
-        raise GraphError("distance matrix requires a connected graph")
-    return [bfs_distances(g, s) for s in range(g.n)]
-
-
 def _layers(adj, source: int) -> tuple[int, int]:
     """Return (eccentricity of ``source``, mask of its radius-2 ball).
 
@@ -205,7 +180,7 @@ def _layers(adj, source: int) -> tuple[int, int]:
 def diameter(g: Graph) -> int:
     """Return the largest pairwise distance; raises on disconnected input."""
     if not is_connected(g):
-        raise GraphError("distance matrix requires a connected graph")
+        raise GraphError("diameter is defined here for connected graphs")
     return max(_layers(g.adj, s)[0] for s in range(g.n))
 
 

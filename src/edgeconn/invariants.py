@@ -1,12 +1,14 @@
 """Exact connectivity invariants for small graphs.
 
-Edge connectivity comes from unit-capacity augmenting-path flow from one
-source to the sinks of a dominating set, each flow capped at the best value
-so far (the minimum degree to begin with).  Minimum edge cut certificates
-still take every sink, for their least-sink tie-break.  Vertex connectivity
-uses the usual vertex-split network over a dominating family of nonadjacent
-pairs.  Both are cheap at the orders this package scans (n well under a
-hundred).
+One unit-capacity augmenting-path flow kernel serves every cut quantity.
+Edge connectivity runs it on the graph's own rows, the bidirected edge
+network, from one source to the sinks of a dominating set, each flow capped
+at the best value so far (the minimum degree to begin with).  Minimum edge
+cut certificates still take every sink, for their least-sink tie-break, and
+read their source side off the kernel's last failed search.  Vertex
+connectivity runs it on the usual vertex-split network over a dominating
+family of nonadjacent pairs.  All are cheap at the orders this package scans
+(n well under a hundred).
 """
 
 from __future__ import annotations
@@ -31,43 +33,50 @@ def max_degree(g: Graph) -> int:
     return max(row.bit_count() for row in g.adj)
 
 
-def _edge_flow_value(adj, n, s, t, cap):
-    """Unit-capacity max flow s->t on the bidirected edge network, up to ``cap``.
+def _unit_flow(arc, s: int, t: int, cap: int) -> tuple[int, int]:
+    """Unit-capacity max flow s->t on an arc-mask network, up to ``cap``.
 
-    Returns (value, fmask) where fmask[u] bit v says a unit flows u->v.
-    Augmenting stops once value reaches ``cap``, so a value below ``cap`` is
-    the maximum flow.  Pushing against an opposite unit cancels it, so fmask
-    rows stay disjoint and residual capacity u->v is positive exactly when
-    fmask[u] bit v is 0.
+    ``arc[a]`` bit b is an arc a -> b of capacity one.  Returns (value,
+    reach).  Augmenting stops once value reaches ``cap``, so a value below
+    ``cap`` is the maximum flow, and only then does ``reach`` mean anything:
+    it is the mask the last search reached when it failed to find t, the
+    source side of the least minimum s-t cut (the same for every maximum
+    flow).  ``free[a]`` holds a's arcs that carry no flow and ``back[a]`` the
+    tails of the units flowing into a; a search grows over both.
     """
-    fmask = [0] * n
-    value = 0
+    n = len(arc)
+    free = list(arc)
+    back = [0] * n
+    value = reach = 0
+    sink = 1 << t
     while value < cap:
         parent = [-1] * n
-        parent[s] = s
-        seen = 1 << s
+        reach = 1 << s
         queue = [s]
-        while queue and parent[t] == -1:
+        while queue and not reach & sink:
             nxt = []
-            for u in queue:
-                grow = adj[u] & ~fmask[u] & ~seen
-                seen |= grow
-                for v in _bits(grow):
-                    parent[v] = u
-                    nxt.append(v)
+            for a in queue:
+                grow = (free[a] | back[a]) & ~reach
+                if grow:
+                    reach |= grow
+                    for b in _bits(grow):
+                        parent[b] = a
+                        nxt.append(b)
             queue = nxt
-        if parent[t] == -1:
+        if not reach & sink:
             break
-        v = t
-        while v != s:
-            u = parent[v]
-            if fmask[v] >> u & 1:
-                fmask[v] &= ~(1 << u)
+        b = t
+        while b != s:
+            a = parent[b]
+            if free[a] >> b & 1:
+                free[a] ^= 1 << b
+                back[b] |= 1 << a
             else:
-                fmask[u] |= 1 << v
-            v = u
+                free[b] |= 1 << a
+                back[a] ^= 1 << b
+            b = a
         value += 1
-    return value, fmask
+    return value, reach
 
 
 def _require_cut_domain(g: Graph, what: str):
@@ -93,14 +102,13 @@ def edge_connectivity(g: Graph) -> int:
     """
     _require_cut_domain(g, "edge connectivity")
     adj = g.adj
-    n = g.n
     best = min(row.bit_count() for row in adj)
     dominated = adj[0] | 1
-    for t in range(1, n):
+    for t in range(1, g.n):
         if dominated >> t & 1:
             continue
         dominated |= adj[t] | 1 << t
-        best = min(best, _edge_flow_value(adj, n, 0, t, best)[0])
+        best = min(best, _unit_flow(adj, 0, t, best)[0])
     return best
 
 
@@ -138,21 +146,11 @@ def min_edge_cut(g: Graph) -> CutCertificate:
     _require_cut_domain(g, "an edge cut")
     # every lambda(0, t) is below n; a flow capped at the best so far cannot
     # undercut it, so the capped flows never change the certificate
-    best, best_fmask = g.n, None
+    best = g.n
     for t in range(1, g.n):
-        value, fmask = _edge_flow_value(g.adj, g.n, 0, t, best)
+        value, reach = _unit_flow(g.adj, 0, t, best)
         if value < best:
-            best, best_fmask = value, fmask
-    # residual reachability from the source fixes side1
-    seen = 1
-    frontier = 1
-    while frontier:
-        grow = 0
-        for u in _bits(frontier):
-            grow |= g.adj[u] & ~best_fmask[u]
-        frontier = grow & ~seen
-        seen |= frontier
-    side1 = seen
+            best, side1 = value, reach
     side2 = ((1 << g.n) - 1) ^ side1
     cut = []
     b1 = b2 = 0
@@ -170,47 +168,6 @@ def min_edge_cut(g: Graph) -> CutCertificate:
     return cert
 
 
-def _split_flow_value(arc, s: int, t: int) -> int:
-    """Max number of internally disjoint s-t paths for nonadjacent s, t.
-
-    ``arc`` is the vertex-split network: vertex v becomes the arc 2v -> 2v+1,
-    and each edge uv the arcs 2v+1 -> 2u and 2u+1 -> 2v.
-    """
-    n2 = len(arc)
-    src = 2 * s + 1
-    dst = 2 * t
-    fout = [0] * n2
-    rev = [0] * n2
-    value = 0
-    while True:
-        parent = [-1] * n2
-        parent[src] = src
-        seen = 1 << src
-        queue = [src]
-        while queue and parent[dst] == -1:
-            nxt = []
-            for a in queue:
-                grow = ((arc[a] & ~fout[a]) | rev[a]) & ~seen
-                seen |= grow
-                for b in _bits(grow):
-                    parent[b] = a
-                    nxt.append(b)
-            queue = nxt
-        if parent[dst] == -1:
-            return value
-        b = dst
-        while b != src:
-            a = parent[b]
-            if arc[a] >> b & 1 and not fout[a] >> b & 1:
-                fout[a] |= 1 << b
-                rev[b] |= 1 << a
-            else:
-                fout[b] &= ~(1 << a)
-                rev[a] &= ~(1 << b)
-            b = a
-        value += 1
-
-
 def vertex_connectivity(g: Graph) -> int:
     """Return vertex connectivity, with complete graphs mapped to n - 1."""
     _require_vertices(g)
@@ -224,6 +181,9 @@ def vertex_connectivity(g: Graph) -> int:
     # contains v, in which case it separates two of v's neighbors; checking
     # one min-degree vertex this way covers every minimum cut
     v = min(range(n), key=lambda u: (g.adj[u].bit_count(), u))
+    # the vertex-split network: vertex w becomes the arc 2w -> 2w+1 and each
+    # edge wu the arcs 2w+1 -> 2u and 2u+1 -> 2w, so for nonadjacent x, y a
+    # flow 2x+1 -> 2y counts internally disjoint x-y paths
     arc = [0] * (2 * n)
     for w in range(n):
         arc[2 * w] = 1 << (2 * w + 1)
@@ -231,12 +191,12 @@ def vertex_connectivity(g: Graph) -> int:
             arc[2 * w + 1] |= 1 << (2 * u)
     best = n - 1
     for u in _bits(full & ~g.adj[v] & ~(1 << v)):
-        best = min(best, _split_flow_value(arc, v, u))
+        best = min(best, _unit_flow(arc, 2 * v + 1, 2 * u, n)[0])
     nbrs = list(_bits(g.adj[v]))
     for i, x in enumerate(nbrs):
         for y in nbrs[i + 1:]:
             if not g.has_edge(x, y):
-                best = min(best, _split_flow_value(arc, x, y))
+                best = min(best, _unit_flow(arc, 2 * x + 1, 2 * y, n)[0])
     return best
 
 

@@ -2,9 +2,10 @@
 
 Everything here recomputes a quantity from its definition, sharing as little
 code as possible with the fast paths: cuts by exhausting subsets, class
-counts by expanding labeled-graph orbits under all vertex permutations, and
-pattern containment by trying every injection.  The test suite and the
-selftest command compare the main implementations against these.
+counts by expanding labeled-graph orbits under all vertex permutations,
+pattern containment by trying every injection, and distances by one BFS per
+source.  The test suite and the selftest command compare the main
+implementations against these.
 """
 
 from __future__ import annotations
@@ -168,3 +169,29 @@ def matching_oracle(g: Graph) -> int:
         return out
 
     return best((1 << g.n) - 1)
+
+
+def bfs_distances(g: Graph, source: int) -> list[int]:
+    """Return BFS distances from ``source``; unreachable vertices get -1."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    seen = 1 << source
+    frontier = seen
+    d = 0
+    while frontier:
+        grow = 0
+        for v in _bits(frontier):
+            grow |= g.adj[v]
+        frontier = grow & ~seen
+        seen |= frontier
+        d += 1
+        for v in _bits(frontier):
+            dist[v] = d
+    return dist
+
+
+def distance_matrix(g: Graph) -> list[list[int]]:
+    """Return all pairwise distances; raises on disconnected input."""
+    if not is_connected(g):
+        raise GraphError("distance matrix requires a connected graph")
+    return [bfs_distances(g, s) for s in range(g.n)]

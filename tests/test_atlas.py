@@ -4,7 +4,6 @@ import pytest
 
 from edgeconn import (
     CertificateError,
-    NamedGraphSpec,
     are_isomorphic,
     bowtie,
     bridged_triangles,
@@ -18,7 +17,6 @@ from edgeconn import (
     is_free,
     known_witness,
     make_family_member,
-    make_named,
     min_degree,
     parse_pattern_set,
     parse_pattern_token,
@@ -34,7 +32,7 @@ from edgeconn.atlas import _FAMILY_RANGES
 
 class TestNamedGraphs:
     def test_degenerate_names_coincide(self):
-        assert path_graph(1) == make_named(NamedGraphSpec("complete", (1,)))
+        assert path_graph(1) == complete_graph(1)
         assert are_isomorphic(path_graph(2), complete_graph(2))
         assert are_isomorphic(star(1), complete_graph(2))
         assert are_isomorphic(complete_bipartite(2, 2), cycle_graph(4))
@@ -63,14 +61,6 @@ class TestNamedGraphs:
         assert bridged_triangles().degree_sequence() == (3, 3, 2, 2, 2, 2)
         assert spider(1, 1, 3).degree_sequence() == (3, 2, 2, 1, 1, 1)
         assert star(4).degree_sequence() == (4, 1, 1, 1, 1)
-
-    def test_make_named_validation(self):
-        with pytest.raises(ValueError):
-            make_named(NamedGraphSpec("moebius", (5,)))
-        with pytest.raises(ValueError):
-            make_named(NamedGraphSpec("path", ()))
-        with pytest.raises(ValueError):
-            make_named(NamedGraphSpec("cycle", (2,)))
 
 
 class TestPatternVocabulary:

@@ -153,9 +153,11 @@ class TestAtlas:
         assert cells["graph6"] == H1_G6
 
     def test_bad_parameters(self, capsys):
-        code = main(["atlas", "--family", "1", "--params", "2"])
-        err = capsys.readouterr().err
-        assert code == 1 and "family 1 expects" in err
+        # a value out of range, then too many and too few values
+        for family, params in (("1", "2"), ("1", "3,4"), ("2", "5")):
+            code = main(["atlas", "--family", family, "--params", params])
+            err = capsys.readouterr().err
+            assert code == 1 and f"family {family} expects" in err, err
 
     def test_name_and_family_exclusive(self, capsys):
         code = main(["atlas", "--name", "H1", "--family", "1"])

@@ -11,7 +11,6 @@ from edgeconn import (
     complete_graph,
     cycle_graph,
     diameter,
-    distance_matrix,
     from_edges,
     from_graph6,
     induced,
@@ -21,6 +20,7 @@ from edgeconn import (
     star,
     to_graph6,
 )
+from edgeconn.oracles import distance_matrix
 
 
 def random_graph(draw, max_n=9):

@@ -1,5 +1,6 @@
 """Connectivity invariants against brute-force oracles and frozen values."""
 
+import hashlib
 import random
 
 import pytest
@@ -16,7 +17,6 @@ from edgeconn import (
     cut_interior_property,
     cycle_graph,
     diameter,
-    distance_matrix,
     edge_connectivity,
     from_edges,
     is_chordal,
@@ -32,7 +32,7 @@ from edgeconn import (
     walk,
 )
 from edgeconn.graphs import Graph, is_connected
-from edgeconn.oracles import edge_cut_oracle, vertex_cut_oracle
+from edgeconn.oracles import distance_matrix, edge_cut_oracle, vertex_cut_oracle
 
 from test_iso import graph_from_mask, labeled_graphs
 
@@ -223,6 +223,21 @@ class TestCutCertificate:
         assert len(certs) == 1
         cert = certs.pop()
         assert cert.cut_edges == ((2, 3),)
+
+    def test_certificates_pinned(self):
+        """Pin which minimum cut is returned on every order <= 8 graph with
+        kappa' < delta: the least-sink tie-break and the source side of the
+        least minimum cut.  Keeping the last sink that attains the minimum
+        changes the digest."""
+        digest = hashlib.sha256()
+        count = 0
+        for g in walk(8):
+            if edge_connectivity(g) < min_degree(g):
+                c = min_edge_cut(g)
+                digest.update(f"{to_graph6(g)} {c.side1} {c.cut_edges}\n".encode())
+                count += 1
+        assert count == 50
+        assert digest.hexdigest()[:16] == "b63a02e9cf72d650"
 
     def test_errors_on_tiny_or_disconnected(self):
         with pytest.raises(GraphError):
