@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--name", help="pattern token, e.g. Z2, T1_1_3, H0")
     group.add_argument("--family", type=int, help="witness family id 1..7")
-    p.add_argument("--params", default="", help="family parameters, e.g. 2,2")
+    p.add_argument("--params", help="family parameters, e.g. 2,2")
     add_io(p, needs_in=False)
 
     p = sub.add_parser("enumerate", help="stream all connected graphs of one order")
@@ -131,6 +131,8 @@ def _run_free(ns: argparse.Namespace) -> int:
 
 def _run_atlas(ns: argparse.Namespace) -> int:
     if ns.name:
+        if ns.params is not None:
+            raise ValueError("--params applies to --family only")
         g = parse_pattern_token(ns.name).graph
         record = {
             "name": ns.name,
@@ -140,8 +142,10 @@ def _run_atlas(ns: argparse.Namespace) -> int:
             "degree_sequence": list(g.degree_sequence()),
         }
     else:
-        params = tuple(int(x) for x in ns.params.split(",") if x.strip())
-        member = make_family_member(ns.family, params)
+        fields = ns.params.split(",") if ns.params else []
+        if not all(f.isascii() and f.isdigit() for f in fields):
+            raise ValueError(f"--params takes nonnegative integers and commas, got {ns.params!r}")
+        member = make_family_member(ns.family, tuple(map(int, fields)))
         record = {
             "family_id": member.family_id,
             "params": list(member.params),

@@ -3,9 +3,9 @@
 Each hypothesis applies to a connected graph on at least two vertices, and
 every one of them implies that edge connectivity equals minimum degree,
 which the implication rows make checkable en masse.  All eight come from one
-pass per graph that computes the degrees, one layer walk per source (the
-diameter and the radius-2 balls), one bipartition and the clique number
-once.
+pass per graph that computes the degrees (sorted once, which decides Xu's
+pairing), one layer walk per source (the diameter and the radius-2 balls),
+one bipartition and the clique number once.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, GraphError, _layers, bipartition_mask, is_connected
-from .invariants import clique_number, edge_connectivity, min_degree
-from .matching import matching_number
+from .graphs import Graph, _layers, bipartition_mask
+from .invariants import _require_cut_domain, clique_number, edge_connectivity, min_degree
 
 
 class Condition(Enum):
@@ -34,11 +33,6 @@ class Condition(Enum):
 CONDITION_NAMES = tuple(c.name for c in Condition)
 
 
-def _check_domain(g: Graph):
-    if g.n < 2 or not is_connected(g):
-        raise GraphError("conditions apply to connected graphs on >= 2 vertices")
-
-
 def _hypotheses(g: Graph) -> list[bool]:
     """The eight verdicts for a connected g, in Condition order."""
     n = g.n
@@ -52,13 +46,13 @@ def _hypotheses(g: Graph) -> list[bool]:
     far = [full & ~ball2 for _, ball2 in layers]
     bipartite = bipartition_mask(g) is not None
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    # Xu's pairs are realized as a maximum matching in the auxiliary graph
-    # joining u and v exactly when deg(u) + deg(v) >= n
-    heavy = [0] * n
-    for u, v in pairs:
-        if deg[u] + deg[v] >= n:
-            heavy[u] |= 1 << v
-            heavy[v] |= 1 << u
+    # Xu's pairs are the edges of the graph joining u and v exactly when
+    # deg(u) + deg(v) >= n, a threshold graph, so a sort decides them.  For
+    # odd n drop the smallest degree: it can take the place of whichever
+    # vertex a pairing leaves out.  Pairing the ascending list from opposite
+    # ends then maximises the smallest pair sum: the smallest degree's
+    # partner can swap with the largest degree's, and no sum falls below n.
+    a = sorted(deg)
     # Dankelmann-Volkmann take any p >= 2 with omega <= p (a K_{p+1}-free graph);
     # the bound weakens as p grows, so p = max(omega, 2), which meets omega <= p,
     # is the strongest valid choice
@@ -77,7 +71,7 @@ def _hypotheses(g: Graph) -> list[bool]:
         # bipartite with diameter at most 3
         bipartite and diam <= 3,
         # floor(n/2) pairwise disjoint vertex pairs with degree sums >= n
-        matching_number(Graph(n, heavy)) >= n // 2,
+        all(a[n % 2 + i] + a[n - 1 - i] >= n for i in range(n // 2)),
         # with p = max(omega, 2): n <= 2*floor(p*delta/(p-1)) - 1
         n <= 2 * (p * delta // (p - 1)) - 1,
     ]
@@ -85,7 +79,7 @@ def _hypotheses(g: Graph) -> list[bool]:
 
 def condition_holds(cond: Condition, g: Graph) -> bool:
     """Return whether the hypothesis of one condition holds for g."""
-    _check_domain(g)
+    _require_cut_domain(g, "a sufficient condition")
     return _hypotheses(g)[cond.value - 1]
 
 
@@ -109,7 +103,7 @@ def condition_implication_rows(g: Graph) -> list[ImplicationRow]:
     A row with holds=True and equality False would witness an implementation
     bug; the sweep tests assert no such row ever appears.
     """
-    _check_domain(g)
+    _require_cut_domain(g, "a sufficient condition")
     equality = edge_connectivity(g) == min_degree(g)
     return [
         ImplicationRow(cond, holds, equality)

@@ -187,29 +187,32 @@ def diameter(g: Graph) -> int:
 def bipartition_mask(g: Graph) -> int | None:
     """Return one side of a 2-coloring as a bit mask, or None if odd cycle.
 
-    Works per component; for a connected graph the mask is the side holding
-    vertex 0.
+    Works per component over frontier masks: the side holds the even BFS
+    layers from each component's least vertex, so for a connected graph it
+    holds vertex 0.  A graph has an odd cycle iff some edge lies inside one
+    layer.
     """
-    color = [-1] * g.n
+    adj = g.adj
+    unseen = (1 << g.n) - 1
     side = 0
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        side |= 1 << s
-        frontier = [s]
+    while unseen:
+        frontier = unseen & -unseen
+        even = True
         while frontier:
-            nxt = []
-            for v in frontier:
-                for u in _bits(g.adj[v]):
-                    if color[u] == -1:
-                        color[u] = color[v] ^ 1
-                        if color[u] == 0:
-                            side |= 1 << u
-                        nxt.append(u)
-                    elif color[u] == color[v]:
-                        return None
-            frontier = nxt
+            unseen &= ~frontier
+            if even:
+                side |= frontier
+            grow = 0
+            rest = frontier
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                row = adj[b.bit_length() - 1]
+                if row & frontier:
+                    return None
+                grow |= row
+            frontier = grow & unseen
+            even = not even
     return side
 
 

@@ -170,13 +170,10 @@ def min_edge_cut(g: Graph) -> CutCertificate:
 
 def vertex_connectivity(g: Graph) -> int:
     """Return vertex connectivity, with complete graphs mapped to n - 1."""
-    _require_vertices(g)
     if not is_connected(g):
         raise GraphError("vertex connectivity is defined here for connected graphs")
     n = g.n
     full = (1 << n) - 1
-    if all(g.adj[v] == full ^ (1 << v) for v in range(n)):
-        return n - 1
     # a minimum cut either avoids v (separating v from a non-neighbor) or
     # contains v, in which case it separates two of v's neighbors; checking
     # one min-degree vertex this way covers every minimum cut
@@ -189,6 +186,7 @@ def vertex_connectivity(g: Graph) -> int:
         arc[2 * w] = 1 << (2 * w + 1)
         for u in _bits(g.adj[w]):
             arc[2 * w + 1] |= 1 << (2 * u)
+    # a complete graph runs no flow below and keeps n - 1
     best = n - 1
     for u in _bits(full & ~g.adj[v] & ~(1 << v)):
         best = min(best, _unit_flow(arc, 2 * v + 1, 2 * u, n)[0])
@@ -330,10 +328,7 @@ class InvariantReport:
 
 def compute_report(g: Graph) -> InvariantReport:
     """Compute every invariant for a connected graph on >= 2 vertices."""
-    if g.n < 2:
-        raise GraphError("invariant reports need at least two vertices")
-    if not is_connected(g):
-        raise GraphError("invariant reports are defined for connected graphs")
+    _require_cut_domain(g, "an invariant report")
     return InvariantReport(
         graph6=to_graph6(g),
         n=g.n,

@@ -46,11 +46,11 @@ from .iso import (
     pattern_strictly_preceq,
 )
 
-# target name -> (left field, right field, left invariant, right invariant)
+# target name -> (left invariant, right invariant)
 TARGETS = {
-    "kappa_prime_delta": ("kappa_prime", "delta", edge_connectivity, min_degree),
-    "kappa_kappa_prime": ("kappa", "kappa_prime", vertex_connectivity, edge_connectivity),
-    "kappa_delta": ("kappa", "delta", vertex_connectivity, min_degree),
+    "kappa_prime_delta": (edge_connectivity, min_degree),
+    "kappa_kappa_prime": (vertex_connectivity, edge_connectivity),
+    "kappa_delta": (vertex_connectivity, min_degree),
 }
 
 # per target: the characterized single pattern, then the characterized pairs
@@ -134,7 +134,7 @@ def verify_pattern_set(patterns: PatternSet, n_max: int, target: str = "kappa_pr
                        workers: int = 1) -> VerdictRecord:
     """Scan all connected pattern-free graphs up to n_max against the target equality."""
     _check_target(target)
-    _, _, left, right = TARGETS[target]
+    left, right = TARGETS[target]
 
     def check(g, counts):
         return () if left(g) == right(g) else (to_graph6(g),)

@@ -158,6 +158,15 @@ class TestAtlas:
             code = main(["atlas", "--family", family, "--params", params])
             err = capsys.readouterr().err
             assert code == 1 and f"family {family} expects" in err, err
+        # malformed fields, and --params without --family, are refused by name
+        for args in (("--family", "1", "--params", "x"), ("--family", "1", "--params", "4,,1"),
+                     ("--family", "1", "--params", "4,"), ("--name", "P5", "--params", "3")):
+            code = main(["atlas", *args])
+            err = capsys.readouterr().err
+            assert code == 1 and "--params" in err, (args, err)
+        # a family without parameters needs no --params
+        assert main(["atlas", "--family", "4"]) == 0
+        capsys.readouterr()
 
     def test_name_and_family_exclusive(self, capsys):
         code = main(["atlas", "--name", "H1", "--family", "1"])

@@ -1,5 +1,7 @@
 """Eight sufficient degree/diameter hypotheses and their soundness."""
 
+import random
+
 import pytest
 
 from edgeconn import (
@@ -16,9 +18,11 @@ from edgeconn import (
     make_family_member,
     path_graph,
     star,
+    to_graph6,
     walk,
 )
 from edgeconn.graphs import Graph
+from edgeconn.matching import matching_number
 
 
 class TestSpotRows:
@@ -98,6 +102,34 @@ class TestDomain:
             condition_holds(Condition.chartrand, Graph(1, (0,)))
         with pytest.raises(GraphError):
             condition_implication_rows(Graph(1, (0,)))
+
+
+def _connected_graph(rng, n):
+    """A random spanning tree on n vertices plus edges of a random density."""
+    p = rng.uniform(0.1, 0.9)
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return from_edges(n, edges)
+
+
+class TestXuPairing:
+    def test_sorted_degrees_match_heavy_matching(self):
+        # the reference joins u and v when deg(u) + deg(v) >= n and asks the
+        # blossom for floor(n/2) disjoint pairs
+        rng = random.Random(7)
+        gs = [g for g in walk(8) if g.n >= 2]
+        gs += [_connected_graph(rng, n) for n in range(2, 19) for _ in range(60)]
+        seen = set()
+        for g in gs:
+            n = g.n
+            deg = [row.bit_count() for row in g.adj]
+            heavy = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if deg[u] + deg[v] >= n])
+            want = matching_number(heavy) >= n // 2
+            assert condition_holds(Condition.xu_pairing, g) == want, to_graph6(g)
+            seen.add((n % 2, want))
+        # both verdicts at both parities, so neither end of the pairing goes untested
+        assert seen == {(0, False), (0, True), (1, False), (1, True)}
 
 
 # graphs of walk(7) on which each hypothesis holds, from the earlier

@@ -1,5 +1,7 @@
 """Graph kernel: construction, traversal, and graph6 round trips."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,7 @@ from edgeconn import (
     path_graph,
     star,
     to_graph6,
+    walk,
 )
 from edgeconn.oracles import distance_matrix
 
@@ -173,3 +176,24 @@ class TestTraversal:
         assert bipartition_mask(cycle_graph(5)) is None
         assert is_bipartite(star(4))
         assert not is_bipartite(complete_graph(3))
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(5)
+        gs = list(walk(7))
+        for _ in range(600):
+            n, p = rng.randint(0, 14), rng.choice((0.05, 0.1, 0.2, 0.4))
+            gs.append(from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < p]))
+        seen = set()
+        for g in gs:
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(g.n))
+            mask = bipartition_mask(g)
+            seen.add((g.n > 0 and is_connected(g), mask is not None))
+            assert (mask is None) == (not nx.is_bipartite(h)), to_graph6(g)
+            if mask is None:
+                continue
+            other = ((1 << g.n) - 1) & ~mask
+            for side in (mask, other):
+                assert all(g.adj[v] & side == 0 for v in range(g.n) if side >> v & 1), to_graph6(g)
+            assert all(mask >> min(c) & 1 for c in nx.connected_components(h)), to_graph6(g)
+        assert seen == {(c, b) for c in (False, True) for b in (False, True)}
