@@ -215,25 +215,25 @@ _FAMILY_RANGES = {
 }
 
 
-# family id -> number of parameters
-_FAMILY_ARITY = {1: 1, 2: 2, 3: 1, 4: 0, 5: 1, 6: 2, 7: 2}
+# family id -> inclusive (lo, hi) bounds of each parameter, in order
+_FAMILY_BOUNDS = {1: ((3, 16),), 2: ((4, 30), (1, 30)), 3: ((3, 30),), 4: (), 5: ((2, 2),),
+                  6: ((2, 16), (2, 16)), 7: ((2, 16), (2, 16))}
 
 
 def _family_graph(family_id: int, params: tuple[int, ...]) -> Graph:
-    if family_id in _FAMILY_ARITY and len(params) != _FAMILY_ARITY[family_id]:
+    bounds = _FAMILY_BOUNDS.get(family_id)
+    if bounds is None:
+        raise ValueError(f"unknown family {family_id}; valid ids are 1..7")
+    if len(params) != len(bounds) or not all(lo <= x <= hi for x, (lo, hi) in zip(params, bounds)):
         raise ValueError(f"family {family_id} expects {_FAMILY_RANGES[family_id]}")
     if family_id == 1:
         (t,) = params
-        if not 3 <= t <= 16:
-            raise ValueError(f"family 1 expects {_FAMILY_RANGES[1]}")
         edges = [(u, v) for u in range(t) for v in range(u + 1, t)]
         edges += [(t + u, t + v) for u in range(t) for v in range(u + 1, t)]
         edges.append((t - 1, t))
         return from_edges(2 * t, edges)
     if family_id == 2:
         k, l = params
-        if not (4 <= k <= 30 and 1 <= l <= 30):
-            raise ValueError(f"family 2 expects {_FAMILY_RANGES[2]}")
         edges = [(v, (v + 1) % k) for v in range(k)]
         edges += [(v, v + 1) for v in range(k - 1, k - 1 + l)]
         b = k + l - 1
@@ -241,8 +241,6 @@ def _family_graph(family_id: int, params: tuple[int, ...]) -> Graph:
         return from_edges(k + l - 1 + k, edges)
     if family_id == 3:
         (l,) = params
-        if not 3 <= l <= 30:
-            raise ValueError(f"family 3 expects {_FAMILY_RANGES[3]}")
         edges = [(0, 1), (0, 2), (1, 2)]
         edges += [(v, v + 1) for v in range(2, 2 + l)]
         a = 2 + l
@@ -251,26 +249,20 @@ def _family_graph(family_id: int, params: tuple[int, ...]) -> Graph:
     if family_id == 4:
         return bridged_triangles()
     if family_id == 5:
-        (l,) = params
-        if l != 2:
-            raise ValueError(f"family 5 expects {_FAMILY_RANGES[5]}")
         return from_edges(
             7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)]
         )
-    if family_id in (6, 7):
-        r, s = params
-        if not (2 <= r <= 16 and 2 <= s <= 16):
-            raise ValueError(f"family {family_id} expects {_FAMILY_RANGES[family_id]}")
-        gap = 0 if family_id == 6 else 1
-        edges = [(x, v) for x in (0, 1) for v in range(2, r + 2)]
-        b = r + 2 + gap
-        edges += [(x, v) for x in (b, b + 1) for v in range(b + 2, b + 2 + s)]
-        if family_id == 6:
-            edges.append((r + 1, b + 1 + s))
-        else:
-            edges += [(r + 1, r + 2), (r + 2, b + 1 + s)]
-        return from_edges(b + 2 + s, edges)
-    raise ValueError(f"unknown family {family_id}; valid ids are 1..7")
+    # families 6 and 7
+    r, s = params
+    gap = 0 if family_id == 6 else 1
+    edges = [(x, v) for x in (0, 1) for v in range(2, r + 2)]
+    b = r + 2 + gap
+    edges += [(x, v) for x in (b, b + 1) for v in range(b + 2, b + 2 + s)]
+    if family_id == 6:
+        edges.append((r + 1, b + 1 + s))
+    else:
+        edges += [(r + 1, r + 2), (r + 2, b + 1 + s)]
+    return from_edges(b + 2 + s, edges)
 
 
 def _family_certificate(family_id: int, params, g: Graph) -> list[tuple[str, bool]]:

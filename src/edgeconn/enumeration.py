@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator
+from functools import partial
 from multiprocessing import get_context
 
 from .graphs import Graph, GraphError, Graph6Error, component_mask, from_graph6, to_graph6
@@ -206,10 +207,13 @@ def expand_children(parent: Graph) -> list[Graph]:
     return _expand(parent, ())
 
 
-def _expand_chunk(job) -> list[str]:
-    lines, pattern_lines = job
-    patterns = [from_graph6(s) for s in pattern_lines]
-    return [to_graph6(child) for line in lines for child in _expand(from_graph6(line), patterns)]
+def _expand_all(parents, patterns) -> list[Graph]:
+    """The children of each parent in turn, concatenated."""
+    out: list[Graph] = []
+    for parent in parents:
+        # full levels go through expand_children, the entry a caller can wrap alone
+        out.extend(_expand(parent, patterns) if patterns else expand_children(parent))
+    return out
 
 
 def _pool_size(workers: int) -> int:
@@ -222,24 +226,18 @@ def _pool_size(workers: int) -> int:
 def _next_level(parents, patterns, workers: int) -> list[Graph]:
     """Expand every parent and concatenate the children, in parent order.
 
-    With ``workers`` above 1 and at least 64 parents, ordered chunks of the
+    With ``workers`` above 1 and at least 64 parents, ordered slices of the
     parent list go to a pool of that many processes, so the merged result is
     byte-identical to the sequential one; worker count only changes wall
-    time.  Graphs travel as graph6 strings, since a Graph does not pickle.
+    time.
     """
     if workers > 1 and len(parents) >= 64:
-        lines = [to_graph6(p) for p in parents]
-        pattern_lines = tuple(to_graph6(p) for p in patterns)
-        step = max(1, len(lines) // (workers * 8))
-        jobs = [(lines[i:i + step], pattern_lines) for i in range(0, len(lines), step)]
+        step = max(1, len(parents) // (workers * 8))
+        slices = [parents[i:i + step] for i in range(0, len(parents), step)]
         with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_expand_chunk, jobs)
-        return [from_graph6(s) for part in parts for s in part]
-    level: list[Graph] = []
-    for parent in parents:
-        # full levels go through expand_children, the entry a caller can wrap alone
-        level.extend(_expand(parent, patterns) if patterns else expand_children(parent))
-    return level
+            parts = pool.map(partial(_expand_all, patterns=patterns), slices)
+        return [child for part in parts for child in part]
+    return _expand_all(parents, patterns)
 
 
 def connected_level(n: int, workers: int = 1) -> tuple[Graph, ...]:

@@ -54,6 +54,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # unpickling goes through __init__, so a loaded graph is re-validated
+        return Graph, (self.n, self.adj)
+
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

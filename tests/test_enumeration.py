@@ -131,6 +131,38 @@ class TestExpansion:
             enumeration._levels.update(saved)
         assert [to_graph6(g) for g in par] == [to_graph6(g) for g in levels7[7]]
 
+    def test_pool_path_reaches_expand_children(self, monkeypatch, levels7):
+        # the in-process fake pool maps the same per-slice expansion as the
+        # sequential path, so full levels call expand_children as often
+        real = enumeration.expand_children
+        calls = []
+
+        def counted(parent):
+            calls.append(parent.n)
+            return real(parent)
+
+        monkeypatch.setattr(enumeration, "expand_children", counted)
+        contexts = []
+        monkeypatch.setattr(enumeration, "get_context",
+                            lambda method: contexts.append(FakeContext(method)) or contexts[-1])
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        saved = dict(enumeration._levels)
+        counts = {}
+        try:
+            for workers in (1, 2):
+                enumeration._levels.clear()
+                enumeration._levels[1] = saved[1]
+                calls.clear()
+                got = connected_level(7, workers=workers)
+                assert [to_graph6(g) for g in got] == [to_graph6(g) for g in levels7[7]]
+                counts[workers] = len(calls)
+        finally:
+            enumeration._levels.clear()
+            enumeration._levels.update(saved)
+        # only the order-7 step has the 64 parents a pool needs
+        assert [c.sizes for c in contexts] == [[2]]
+        assert counts[2] == counts[1] == sum(len(levels7[n]) for n in range(1, 7))
+
     def test_stream_digests_pinned(self, levels8):
         for n, want in LEVEL_SHA256.items():
             stream = "".join(to_graph6(g) + "\n" for g in levels8[n])

@@ -1,5 +1,6 @@
 """Graph kernel: construction, traversal, and graph6 round trips."""
 
+import pickle
 import random
 
 import pytest
@@ -67,6 +68,19 @@ class TestConstruction:
         g = path_graph(3)
         with pytest.raises(AttributeError):
             g.n = 5
+
+    def test_pickle_round_trip_revalidates(self):
+        g = cycle_graph(5)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and back.adj == g.adj
+
+        class Forged:
+            # pickles as a Graph whose row 0 names vertex 1 but not back
+            def __reduce__(self):
+                return Graph, (2, (0b10, 0b00))
+
+        with pytest.raises(GraphError, match="not symmetric"):
+            pickle.loads(pickle.dumps(Forged()))
 
 
 class TestGraph6:

@@ -163,17 +163,45 @@ class TestSecondRoute:
         assert gaps >= 200
 
 
+def _nx_graph(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _check_clique_and_chordality(nx, g, h):
+    assert clique_number(g) == max(len(c) for c in nx.find_cliques(h)), g.edges()
+    assert is_chordal(g) == nx.is_chordal(h), g.edges()
+
+
 class TestNetworkxOracle:
     def check(self, gs):
         nx = pytest.importorskip("networkx")
         for g in gs:
-            h = nx.Graph(g.edges())
+            h = _nx_graph(nx, g)
             assert vertex_connectivity(g) == nx.node_connectivity(h), g.edges()
             assert edge_connectivity(g) == nx.edge_connectivity(h), g.edges()
+            _check_clique_and_chordality(nx, g, h)
 
     def test_order_seven_matches_networkx(self, levels7):
+        # every graph of walk(7)
         assert len(levels7[7]) == 853
-        self.check(levels7[7])
+        self.check(g for n in range(2, 8) for g in levels7[n])
+
+    def test_clique_and_chordality_on_random_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(13)
+        chordal = 0
+        for i in range(720):
+            n = i % 18 + 1
+            p = 0.2 + 0.1 * (i // 18 % 8)
+            g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < p])
+            _check_clique_and_chordality(nx, g, _nx_graph(nx, g))
+            chordal += is_chordal(g)
+        # both answers occur often enough to matter
+        assert 100 <= chordal <= 620, chordal
 
     def test_order_eight_sample_matches_networkx(self, levels8):
         sample = levels8[8][::10]
@@ -253,6 +281,13 @@ class TestCliqueAndChordal:
         assert clique_number(complete_bipartite(3, 4)) == 2
         wheel5 = from_edges(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
         assert clique_number(wheel5) == 3
+        # K_{3x20}, labels shuffled, has 3^20 maximum cliques: the colouring
+        # bound keeps the search to milliseconds, a size bound alone to hours
+        label = list(range(60))
+        random.Random(20).shuffle(label)
+        multipartite = from_edges(60, [(label[u], label[v]) for u in range(60)
+                                       for v in range(u + 1, 60) if u // 3 != v // 3])
+        assert clique_number(multipartite) == 20
 
     def test_clique_exhaustive_small(self, levels6):
         import itertools
