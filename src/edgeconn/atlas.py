@@ -184,7 +184,8 @@ def recognize_pattern(g: Graph) -> str:
         entries += [("H0", bowtie()), ("H1", bridged_triangles())]
         for name, graph in entries:
             _RECOGNIZE.setdefault(canonical_form(graph), name)
-    return _RECOGNIZE.get(canonical_form(g), "g6:" + canonical_form(g))
+    form = canonical_form(g)
+    return _RECOGNIZE.get(form, "g6:" + form)
 
 
 # ---------------------------------------------------------------------------
@@ -215,54 +216,38 @@ _FAMILY_RANGES = {
 }
 
 
-# family id -> inclusive (lo, hi) bounds of each parameter, in order
-_FAMILY_BOUNDS = {1: ((3, 16),), 2: ((4, 30), (1, 30)), 3: ((3, 30),), 4: (), 5: ((2, 2),),
-                  6: ((2, 16), (2, 16)), 7: ((2, 16), (2, 16))}
+def _joined(a: Graph, b: Graph, l: int, b_last: bool) -> Graph:
+    """Blocks a and b joined by a path of l edges from a's last vertex to b's
+    first (its last when ``b_last``); a, the path's inner vertices, then b."""
+    start = a.n + l - 1  # b's first vertex
+    edges = a.edges() + [(start + u, start + v) for u, v in b.edges()]
+    edges += [(v, v + 1) for v in range(a.n - 1, start - 1)]
+    edges.append((start - 1, start + b.n - 1 if b_last else start))
+    return from_edges(start + b.n, edges)
+
+
+# family id -> (inclusive (lo, hi) bounds of each parameter, in order;
+#               parameters -> (block a, block b, path length, path ends at b's last vertex))
+_FAMILIES = {
+    1: (((3, 16),), lambda t: (complete_graph(t), complete_graph(t), 1, False)),
+    2: (((4, 30), (1, 30)), lambda k, l: (cycle_graph(k), cycle_graph(k), l, False)),
+    3: (((3, 30),), lambda l: (complete_graph(3), complete_graph(3), l, False)),
+    4: ((), lambda: (complete_graph(3), complete_graph(3), 1, False)),
+    5: (((2, 2),), lambda l: (complete_graph(3), complete_graph(3), l, False)),
+    6: (((2, 16), (2, 16)),
+        lambda r, s: (complete_bipartite(2, r), complete_bipartite(2, s), 1, True)),
+    7: (((2, 16), (2, 16)),
+        lambda r, s: (complete_bipartite(2, r), complete_bipartite(2, s), 2, True)),
+}
 
 
 def _family_graph(family_id: int, params: tuple[int, ...]) -> Graph:
-    bounds = _FAMILY_BOUNDS.get(family_id)
-    if bounds is None:
+    if family_id not in _FAMILIES:
         raise ValueError(f"unknown family {family_id}; valid ids are 1..7")
+    bounds, blocks = _FAMILIES[family_id]
     if len(params) != len(bounds) or not all(lo <= x <= hi for x, (lo, hi) in zip(params, bounds)):
         raise ValueError(f"family {family_id} expects {_FAMILY_RANGES[family_id]}")
-    if family_id == 1:
-        (t,) = params
-        edges = [(u, v) for u in range(t) for v in range(u + 1, t)]
-        edges += [(t + u, t + v) for u in range(t) for v in range(u + 1, t)]
-        edges.append((t - 1, t))
-        return from_edges(2 * t, edges)
-    if family_id == 2:
-        k, l = params
-        edges = [(v, (v + 1) % k) for v in range(k)]
-        edges += [(v, v + 1) for v in range(k - 1, k - 1 + l)]
-        b = k + l - 1
-        edges += [(b + v, b + ((v + 1) % k)) for v in range(k)]
-        return from_edges(k + l - 1 + k, edges)
-    if family_id == 3:
-        (l,) = params
-        edges = [(0, 1), (0, 2), (1, 2)]
-        edges += [(v, v + 1) for v in range(2, 2 + l)]
-        a = 2 + l
-        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
-        return from_edges(l + 5, edges)
-    if family_id == 4:
-        return bridged_triangles()
-    if family_id == 5:
-        return from_edges(
-            7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)]
-        )
-    # families 6 and 7
-    r, s = params
-    gap = 0 if family_id == 6 else 1
-    edges = [(x, v) for x in (0, 1) for v in range(2, r + 2)]
-    b = r + 2 + gap
-    edges += [(x, v) for x in (b, b + 1) for v in range(b + 2, b + 2 + s)]
-    if family_id == 6:
-        edges.append((r + 1, b + 1 + s))
-    else:
-        edges += [(r + 1, r + 2), (r + 2, b + 1 + s)]
-    return from_edges(b + 2 + s, edges)
+    return _joined(*blocks(*params))
 
 
 def _family_certificate(family_id: int, params, g: Graph) -> list[tuple[str, bool]]:

@@ -159,18 +159,13 @@ def _canonical_rows(n: int, adj, cells=None):
             search(_refine(adj, branched), prefix + (v,))
             explored.append(v)
 
-    if all(c & (c - 1) == 0 for c in cells):
-        leaf(cells)
-    else:
-        search(cells, ())
+    search(cells, ())
     return best_perm, best_enc, autos
 
 
 def canonical_form(g: Graph) -> str:
     """Return a canonical graph6 string: equal iff the graphs are isomorphic."""
     perm, _, _ = _canonical_rows(g.n, g.adj)
-    if g.n == 0:
-        return to_graph6(g)
     return to_graph6(relabel(g, perm))
 
 
@@ -414,7 +409,7 @@ def maximal_common_induced_subgraphs(a, b, max_order: int) -> list[Graph]:
                 continue
             if all(contains_induced(x, h) for x in others):
                 found[form] = h
-    commons = sorted(found.values(), key=lambda h: (h.n, h.m, canonical_form(h)))
+    commons = [h for _, h in sorted(found.items(), key=lambda kv: (kv[1].n, kv[1].m, kv[0]))]
     keep = []
     for h in commons:
         dominated = any(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import product
 
 from .atlas import (
     catalogued_pairs,
@@ -34,7 +34,6 @@ from .invariants import (
     vertex_connectivity,
 )
 from .iso import (
-    Pattern,
     PatternSet,
     canonical_form,
     contains_induced,
@@ -263,18 +262,17 @@ def cut_interior_sweep(n_max: int, workers: int = 1) -> VerdictRecord:
 # ---------------------------------------------------------------------------
 # characterization intersection
 
-def _lifts(small, big) -> list[tuple[Pattern, ...]]:
-    """Pad the smaller member tuple with patterns borrowed from the bigger."""
-    need = len(big) - len(small)
-    if need == 0:
-        return [tuple(small)]
-    small_forms = {canonical_form(p.graph) for p in small}
-    out = []
-    for extra in combinations(big, need):
-        if any(canonical_form(p.graph) in small_forms for p in extra):
-            continue
-        out.append(tuple(small) + tuple(extra))
-    return out
+def _partitions(items: list, k: int):
+    """Yield each split of ``items`` into at most k nonempty blocks, once."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for part in _partitions(items[1:], k):
+        for i, block in enumerate(part):
+            yield part[:i] + [[first] + block] + part[i + 1:]
+        if len(part) < k:
+            yield [[first]] + part
 
 
 def _reduce_members(graphs) -> PatternSet:
@@ -303,14 +301,18 @@ def _rep_key(ps: PatternSet):
 
 
 def intersect_characterizations(a, b, max_order: int) -> list[PatternSet]:
-    """Combine two characterized lists into sets for the joint equality.
+    """The maximal sets below one set of each list, up to ordering equivalence.
 
-    For every cross pairing, members are matched slot to slot (padding a
-    smaller set with patterns of the other, so singleton entries combine
-    with pairs) and each slot contributes its maximal common induced
-    subgraphs.  The drawn sets are reduced, deduplicated, stripped of
-    strictly dominated entries, and collapsed up to mutual ordering
-    equivalence.
+    H is at or below both ha and hb exactly when every member of ha ∪ hb
+    contains some member of H as an induced subgraph.  So, for each pairing
+    and k = max(|ha|, |hb|), the members of ha ∪ hb (up to isomorphism) are
+    split into at most k nonempty blocks, and each block gives one of its
+    maximal common connected induced subgraphs of order <= ``max_order``.
+    This finds every such H of at most k members of order <= ``max_order``:
+    put each member of ha ∪ hb in a block i whose X_i it contains; X_i lies
+    in a maximal common subgraph X'_i of its block, so H is at or below
+    {X'_i}.  Strictly dominated draws are dropped, and of each class of
+    equivalent sets the least by ``_rep_key`` is returned, in that order.
     """
     if not 1 <= max_order <= 7:
         raise ValueError(f"max_order must be within 1..7, got {max_order}")
@@ -318,47 +320,33 @@ def intersect_characterizations(a, b, max_order: int) -> list[PatternSet]:
     b_list = [b] if isinstance(b, PatternSet) else list(b)
     if not a_list or not b_list:
         raise ValueError("both characterization lists must be nonempty")
+    # each set's members by canonical form, so a pairing dedupes by dict merge
+    a_forms = [{canonical_form(p.graph): p.graph for p in h.patterns} for h in a_list]
+    b_forms = [{canonical_form(p.graph): p.graph for p in h.patterns} for h in b_list]
     mcis_cache: dict[frozenset, list] = {}
-
-    def slot_options(x: Pattern, y: Pattern):
-        key = frozenset((canonical_form(x.graph), canonical_form(y.graph)))
-        if key not in mcis_cache:
-            mcis_cache[key] = maximal_common_induced_subgraphs(x.graph, y.graph, max_order)
-        return mcis_cache[key]
-
     results: dict[frozenset, PatternSet] = {}
-    for ha in a_list:
-        for hb in b_list:
-            if len(ha.patterns) <= len(hb.patterns):
-                lifted_list = _lifts(ha.patterns, hb.patterns)
-                rights = hb.patterns
-            else:
-                lifted_list = _lifts(hb.patterns, ha.patterns)
-                rights = ha.patterns
-            if not lifted_list:
-                raise ValueError(
-                    f"cannot reconcile cardinalities of {ha.label} and {hb.label}"
-                )
-            size = len(rights)
-            for lifted in lifted_list:
-                for sigma in permutations(range(size)):
-                    options = [slot_options(lifted[i], rights[sigma[i]]) for i in range(size)]
-                    for choice in product(*options):
-                        ps = _reduce_members(choice)
-                        results.setdefault(ps.form_key(), ps)
+    for fa in a_forms:
+        for fb in b_forms:
+            k = max(len(fa), len(fb))
+            for blocks in _partitions(list({**fa, **fb}.items()), k):
+                options = []
+                for block in blocks:
+                    key = frozenset(form for form, _ in block)
+                    if key not in mcis_cache:
+                        graphs = [g for _, g in block]
+                        mcis_cache[key] = maximal_common_induced_subgraphs(
+                            graphs[0], graphs[1:], max_order)
+                    options.append(mcis_cache[key])
+                for choice in product(*options):
+                    ps = _reduce_members(choice)
+                    results.setdefault(ps.form_key(), ps)
     formed = list(results.values())
     kept = [
         h for h in formed
         if not any(pattern_strictly_preceq(h, other) for other in formed)
     ]
-    groups: list[list[PatternSet]] = []
+    reps: list[PatternSet] = []
     for h in sorted(kept, key=_rep_key):
-        for grp in groups:
-            if pattern_equivalent(h, grp[0]):
-                grp.append(h)
-                break
-        else:
-            groups.append([h])
-    reps = [min(grp, key=_rep_key) for grp in groups]
-    reps.sort(key=_rep_key)
+        if not any(pattern_equivalent(h, r) for r in reps):
+            reps.append(h)
     return reps

@@ -1,5 +1,8 @@
 """Named graphs, the token vocabulary, and certified witness families."""
 
+import hashlib
+from itertools import product
+
 import pytest
 
 from edgeconn import (
@@ -27,7 +30,7 @@ from edgeconn import (
     to_graph6,
     triangle_with_tail,
 )
-from edgeconn.atlas import _FAMILY_RANGES
+from edgeconn.atlas import _FAMILY_RANGES, _family_graph
 
 
 class TestNamedGraphs:
@@ -153,6 +156,21 @@ class TestFamilies:
             with pytest.raises(ValueError):
                 make_family_member(fam, params)
         assert "bridge" in _FAMILY_RANGES[1]
+
+    def test_member_numbering_pinned(self):
+        # every valid (family, params) with its exact vertex numbering; the
+        # graph6 short form stops at 62 vertices and family 2 reaches 89, so
+        # each line carries the order and the edge list
+        ranges = {1: ((3, 16),), 2: ((4, 30), (1, 30)), 3: ((3, 30),), 4: (),
+                  5: ((2, 2),), 6: ((2, 16), (2, 16)), 7: ((2, 16), (2, 16))}
+        lines = []
+        for fam, bounds in ranges.items():
+            for params in product(*(range(lo, hi + 1) for lo, hi in bounds)):
+                g = _family_graph(fam, params)
+                lines.append(f"{fam} {params} {g.n} {g.edges()}")
+        assert len(lines) == 1304
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest[:16] == "6d59063c171cc2c1"
 
     def test_family_overlap_and_distinctness(self):
         # K_{2,2} is C4, so the smallest bridged-block members coincide

@@ -1,5 +1,7 @@
 """Scan verdicts, witness mining, the witness sweep, and list intersection."""
 
+from itertools import combinations, permutations
+
 import pytest
 
 from edgeconn import (
@@ -12,6 +14,7 @@ from edgeconn import (
     characterized_sets,
     complete_graph,
     condition_soundness,
+    connected_level,
     cut_interior_sweep,
     intersect_characterizations,
     mine_witness,
@@ -248,6 +251,31 @@ class TestIntersection:
         )
         assert len(meet) == 1
         assert pattern_equivalent(meet[0], parse_pattern_set("P3"))
+
+    @pytest.mark.parametrize("max_order, n_candidates", [(4, 55), (5, 496)])
+    def test_exact_against_every_small_set(self, max_order, n_candidates):
+        # every set of one or two connected graphs of order <= max_order that
+        # is at or below a set of each list is at or below a returned set,
+        # every returned set is such a set, and no returned set is below another
+        universe = [g for n in range(1, max_order + 1) for g in connected_level(n)]
+        candidates = [pattern_set((g, "x")) for g in universe]
+        candidates += [pattern_set((g, "x"), (h, "y")) for g, h in combinations(universe, 2)]
+        assert len(candidates) == n_candidates
+        kkp = characterized_sets("kappa_kappa_prime")
+        kpd = characterized_sets("kappa_prime_delta")
+        for a, b in ((kkp, kpd), (kpd, kpd)):
+            meet = intersect_characterizations(a, b, max_order)
+
+            def valid(h):
+                return (any(pattern_preceq(h, x) for x in a)
+                        and any(pattern_preceq(h, y) for y in b))
+
+            assert all(valid(m) for m in meet)
+            for h in candidates:
+                if valid(h):
+                    assert any(pattern_preceq(h, m) for m in meet), h.label
+            for x, y in permutations(meet, 2):
+                assert not pattern_preceq(x, y), (x.label, y.label)
 
     def test_max_order_validated(self):
         with pytest.raises(ValueError):
