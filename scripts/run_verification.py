@@ -33,7 +33,6 @@ from edgeconn import (
     intersect_characterizations,
     parse_pattern_set,
     pattern_equivalent,
-    recognize_pattern,
     run_selftest,
     verify_pattern_set,
     walk,
@@ -114,13 +113,7 @@ def section_intersection(out_dir: Path) -> bool:
         characterized_sets("kappa_prime_delta"),
         6,
     )
-    rows = [
-        {
-            "label": ps.label,
-            "members": [recognize_pattern(p.graph) for p in ps.patterns],
-        }
-        for ps in meet
-    ]
+    rows = [{"label": ps.label, "members": [p.label for p in ps.patterns]} for ps in meet]
     write_json(out_dir / "characterization_intersection.json", rows)
     for row in rows:
         print(f"  meet element: {row['label']}")

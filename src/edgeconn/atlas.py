@@ -116,7 +116,8 @@ _TOKEN_SHAPES = {
     ("T", 3): (spider, lambda i, j, k: i + j + k + 1),
 }
 
-# the largest order graph6 short form (and so canonical labelling) handles
+# the largest order graph6 short form (and so canonical labelling) handles;
+# pattern tokens and family members both stay within it
 MAX_PATTERN_ORDER = 62
 
 
@@ -163,27 +164,16 @@ _RECOGNIZE: dict[str, str] = {}
 def recognize_pattern(g: Graph) -> str:
     """Return a vocabulary name for g when one exists, else a g6: token."""
     if not _RECOGNIZE:
-        entries: list[tuple[str, Graph]] = []
-        entries += [(f"P{i}", path_graph(i)) for i in range(1, 11)]
-        entries += [(f"K{n}", complete_graph(n)) for n in range(2, 9)]
-        entries += [(f"C{n}", cycle_graph(n)) for n in range(4, 11)]
-        entries += [
-            (f"K{m}_{n}", complete_bipartite(m, n))
-            for m in range(1, 5)
-            for n in range(m, 9)
-            if (m, n) != (1, 1) and m + n <= 10
-        ]
-        entries += [(f"Z{i}", triangle_with_tail(i)) for i in range(1, 7)]
-        entries += [
-            (f"T{i}_{j}_{k}", spider(i, j, k))
-            for i in range(1, 8)
-            for j in range(i, 8)
-            for k in range(j, 8)
-            if i + j + k + 1 <= 10
-        ]
-        entries += [("H0", bowtie()), ("H1", bridged_triangles())]
-        for name, graph in entries:
-            _RECOGNIZE.setdefault(canonical_form(graph), name)
+        names = [f"P{i}" for i in range(1, 11)]
+        names += [f"K{n}" for n in range(2, 9)]
+        names += [f"C{n}" for n in range(4, 11)]
+        names += [f"K{m}_{n}" for m in range(1, 5) for n in range(m, 9)
+                  if (m, n) != (1, 1) and m + n <= 10]
+        names += [f"Z{i}" for i in range(1, 7)]
+        names += [f"T{i}_{j}_{k}" for i in range(1, 8) for j in range(i, 8)
+                  for k in range(j, 8) if i + j + k + 1 <= 10]
+        for name in names + ["H0", "H1"]:
+            _RECOGNIZE.setdefault(canonical_form(parse_pattern_token(name).graph), name)
     form = canonical_form(g)
     return _RECOGNIZE.get(form, "g6:" + form)
 
@@ -288,22 +278,17 @@ def _family_certificate(family_id: int, params, g: Graph) -> list[tuple[str, boo
             ("H1_free", is_free(g, [bridged_triangles()])),
             ("longest_induced_path=P5", longest_induced_path_order(g) == 5),
         ]
-    elif family_id == 6:
+    else:
+        # families 6 and 7: the joining path has family_id - 5 edges
         cert += [
             ("triangle_free", is_free(g, [k3])),
-            ("longest_induced_path=P6", longest_induced_path_order(g) == 6),
+            (f"longest_induced_path=P{family_id}", longest_induced_path_order(g) == family_id),
             ("contains_T1_1_3", contains_induced(g, spider(1, 1, 3))),
         ]
-        if params == (2, 2):
+        if (family_id, params) == (6, (2, 2)):
             # only the base member avoids the length-4 spider; wider blocks
             # let a degree-3 vertex reach across the bridge
             cert.append(("T1_1_4_free", is_free(g, [spider(1, 1, 4)])))
-    elif family_id == 7:
-        cert += [
-            ("triangle_free", is_free(g, [k3])),
-            ("longest_induced_path=P7", longest_induced_path_order(g) == 7),
-            ("contains_T1_1_3", contains_induced(g, spider(1, 1, 3))),
-        ]
     return cert
 
 
@@ -311,6 +296,9 @@ def make_family_member(family_id: int, params) -> FamilyMember:
     """Build a family member and verify its certificate, aborting on failure."""
     params = tuple(params)
     g = _family_graph(family_id, params)
+    if g.n > MAX_PATTERN_ORDER:
+        raise ValueError(f"family {family_id} params {params} has {g.n} vertices; members have"
+                         f" at most {MAX_PATTERN_ORDER}, the graph6 short-form limit")
     cert = _family_certificate(family_id, params, g)
     for name, ok in cert:
         if not ok:

@@ -275,24 +275,22 @@ def _partitions(items: list, k: int):
             yield [[first]] + part
 
 
-def _reduce_members(graphs) -> PatternSet:
+def _reduce_members(graphs) -> tuple[frozenset, list]:
     """Collapse a drawn member tuple: dedupe isomorphs, drop implied members.
 
     A member that has another member as induced subgraph is implied (the
-    smaller forbiddance already rules it out) and is removed.
+    smaller forbiddance already rules it out) and is removed.  Returns the
+    kept members' canonical forms and the kept graphs, smallest first.
     """
     by_form = {}
     for g in graphs:
         by_form.setdefault(canonical_form(g), g)
     items = sorted(by_form.items(), key=lambda kv: (kv[1].n, kv[1].m, kv[0]))
-    keep = []
-    for form, g in items:
-        implied = any(
-            contains_induced(g, other) for f2, other in items if f2 != form
-        )
-        if not implied:
-            keep.append(g)
-    return pattern_set(*((g, recognize_pattern(g)) for g in keep))
+    keep = [
+        (form, g) for form, g in items
+        if not any(contains_induced(g, other) for f2, other in items if f2 != form)
+    ]
+    return frozenset(form for form, _ in keep), [g for _, g in keep]
 
 
 def _rep_key(ps: PatternSet):
@@ -338,8 +336,9 @@ def intersect_characterizations(a, b, max_order: int) -> list[PatternSet]:
                             graphs[0], graphs[1:], max_order)
                     options.append(mcis_cache[key])
                 for choice in product(*options):
-                    ps = _reduce_members(choice)
-                    results.setdefault(ps.form_key(), ps)
+                    forms, keep = _reduce_members(choice)
+                    if forms not in results:
+                        results[forms] = pattern_set(*((g, recognize_pattern(g)) for g in keep))
     formed = list(results.values())
     kept = [
         h for h in formed

@@ -6,10 +6,9 @@ All equality checks are exact; the only budgets are the generous wall-clock
 ceilings stated next to the two fast criteria.
 """
 
+import hashlib
 import os
 import time
-
-import pytest
 
 from edgeconn import (
     CHARACTERIZED_PAIRS,
@@ -28,6 +27,7 @@ from edgeconn import (
     mine_witness,
     parse_pattern_set,
     pattern_equivalent,
+    to_graph6,
     vertex_connectivity,
     verify_pattern_set,
 )
@@ -42,13 +42,6 @@ from edgeconn.oracles import (
 # free graphs scanned at n <= 9, as in the committed reports/equality_scans.json;
 # P4's count is the sum of OEIS A000669 over n = 2..9
 DEEP_SCANNED = {"P4": 1170, "H1,P5": 35117, "Z2,P6": 26639, "Z2,T1_1_3": 25160}
-
-
-@pytest.fixture(scope="module")
-def deep_levels():
-    """Warm the enumeration cache through n=9 once for the whole battery."""
-    workers = int(os.environ.get("EDGECONN_WORKERS", "1"))
-    return {n: connected_level(n, workers) for n in range(1, 10)}
 
 
 def _announce(capsys, num: int, ok: bool, detail: str):
@@ -103,7 +96,7 @@ def test_criterion_02_enumerator_counts(capsys):
     assert ok, detail
 
 
-def test_criterion_03_single_pattern_characterization(capsys, deep_levels):
+def test_criterion_03_single_pattern_characterization(capsys):
     """The path on four vertices is exactly the single-pattern boundary."""
     t0 = time.perf_counter()
     held = verify_pattern_set(parse_pattern_set("P4"), 9)
@@ -125,7 +118,7 @@ def test_criterion_03_single_pattern_characterization(capsys, deep_levels):
     assert ok, detail
 
 
-def test_criterion_04_characterized_pairs_hold(capsys, deep_levels):
+def test_criterion_04_characterized_pairs_hold(capsys):
     """All three characterized pairs keep the equality through n=9."""
     t0 = time.perf_counter()
     outcomes = []
@@ -143,7 +136,7 @@ def test_criterion_04_characterized_pairs_hold(capsys, deep_levels):
     assert ok, detail
 
 
-def test_criterion_05_witnesses_beyond_the_boundary(capsys, deep_levels):
+def test_criterion_05_witnesses_beyond_the_boundary(capsys):
     """Every strict extension of the characterized sets admits a witness."""
     t0 = time.perf_counter()
     texts = ("H1,P6", "Z3,P6", "Z2,P7", "Z2,T1_1_4", "K1_4,P5")
@@ -186,7 +179,7 @@ def test_criterion_06_sufficient_conditions_sound(capsys):
     assert ok, detail
 
 
-def test_criterion_07_other_equalities_characterized(capsys, deep_levels):
+def test_criterion_07_other_equalities_characterized(capsys):
     """The vertex-connectivity analogues hold for their characterized sets."""
     t0 = time.perf_counter()
     failures = []
@@ -267,6 +260,14 @@ def test_criterion_10_characterization_intersection(capsys):
     assert ok, detail
 
 
-def test_battery_used_the_advertised_depth(deep_levels):
-    """Guard: the deep scans really went to order nine."""
-    assert len(deep_levels[9]) == 261080
+def test_battery_used_the_advertised_depth():
+    """Guard: order nine, the battery's depth, is the known full level.
+
+    The count is OEIS A001349(9); the digest is the sha256 prefix of the
+    level's graph6 lines, each followed by "\n".
+    """
+    workers = int(os.environ.get("EDGECONN_WORKERS", "1"))
+    level = connected_level(9, workers)
+    stream = "".join(to_graph6(g) + "\n" for g in level)
+    assert len(level) == 261080
+    assert hashlib.sha256(stream.encode("ascii")).hexdigest()[:16] == "33d0be56b3f11eca"

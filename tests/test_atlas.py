@@ -90,6 +90,17 @@ class TestPatternVocabulary:
         assert name.startswith("g6:")
         assert are_isomorphic(from_graph6(name[3:]), bull)
 
+    def test_recognizer_table_pinned(self):
+        # the 73 classes of the 77 vocabulary names, each under the first
+        # listed name; sha256 of "<form> <name>\n" per entry, in table order
+        from edgeconn import atlas
+
+        recognize_pattern(complete_graph(1))
+        entries = "".join(f"{form} {name}\n" for form, name in atlas._RECOGNIZE.items())
+        assert len(atlas._RECOGNIZE) == 73
+        assert hashlib.sha256(entries.encode()).hexdigest() == (
+            "118405c9f0bf81ffed1da3e7a5d114deb77ab772c858e6d94c00d95ff042c9eb")
+
     def test_bad_tokens(self):
         for bad in ("", "Q7", "P", "Px", "K2_", "T1_1", "Z0", "C2", "g6:Bww"):
             with pytest.raises(ValueError):
@@ -124,7 +135,7 @@ class TestFamilies:
     def test_all_catalog_members_certify(self):
         specs = [
             (1, (3,)), (1, (4,)), (1, (7,)), (1, (16,)),
-            (2, (4, 1)), (2, (5, 3)), (2, (30, 30)),
+            (2, (4, 1)), (2, (5, 3)), (2, (30, 3)),
             (3, (3,)), (3, (11,)),
             (4, ()),
             (5, (2,)),
@@ -156,6 +167,23 @@ class TestFamilies:
             with pytest.raises(ValueError):
                 make_family_member(fam, params)
         assert "bridge" in _FAMILY_RANGES[1]
+
+    def test_members_past_graph6_limit_refused(self, monkeypatch):
+        # family 2 reaches 2k + l - 1 = 89 vertices; the 196 members past 62
+        # are refused before any certified fact is computed
+        from edgeconn import atlas
+
+        def no_certificate(*args):
+            raise AssertionError("certified a member past 62 vertices")
+
+        monkeypatch.setattr(atlas, "_family_certificate", no_certificate)
+        refused = 0
+        for k, l in product(range(4, 31), range(1, 31)):
+            if 2 * k + l - 1 > 62:
+                with pytest.raises(ValueError, match="at most 62"):
+                    make_family_member(2, (k, l))
+                refused += 1
+        assert refused == 196
 
     def test_member_numbering_pinned(self):
         # every valid (family, params) with its exact vertex numbering; the

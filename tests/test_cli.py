@@ -16,7 +16,7 @@ try:
 except ModuleNotFoundError:  # Python < 3.11
     tomllib = None
 
-from edgeconn import bridged_triangles, connected_level, to_graph6
+from edgeconn import bridged_triangles, connected_level, from_graph6, to_graph6
 from edgeconn.cli import main
 
 # the constructor's labeling of the bridged triangles; the enumerator emits
@@ -167,6 +167,14 @@ class TestAtlas:
         # a family without parameters needs no --params
         assert main(["atlas", "--family", "4"]) == 0
         capsys.readouterr()
+
+    def test_family_member_past_graph6_limit(self, capsys):
+        code = main(["atlas", "--family", "2", "--params", "30,30"])
+        err = capsys.readouterr().err
+        assert code == 1 and "has 89 vertices; members have at most 62" in err, err
+        # 2 * 30 + 3 - 1 = 62 vertices, the largest printable member
+        code, out = invoke(capsys, "atlas", "--family", "2", "--params", "30,3")
+        assert code == 0 and from_graph6(json.loads(out)["graph6"]).n == 62
 
     def test_name_and_family_exclusive(self, capsys):
         code = main(["atlas", "--name", "H1", "--family", "1"])
