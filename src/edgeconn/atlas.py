@@ -151,10 +151,13 @@ def parse_pattern_token(token: str) -> Pattern:
 
 
 def parse_pattern_set(text: str) -> PatternSet:
-    """Parse a comma-separated token list into a PatternSet."""
-    tokens = [t for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise ValueError("no pattern tokens given")
+    """Parse a comma-separated token list into a PatternSet.
+
+    Spaces around a token are fine; an empty field is refused.
+    """
+    tokens = text.split(",")
+    if not all(t.strip() for t in tokens):
+        raise ValueError(f"empty field in pattern list {text!r}")
     return pattern_set(*(parse_pattern_token(t) for t in tokens))
 
 

@@ -30,13 +30,28 @@ def relabel(g: Graph, perm) -> Graph:
     return Graph(g.n, rows)
 
 
-def _refine(adj, cells):
+def _refine(adj, cells, splitters=None):
     """Refine an ordered partition (list of cell masks) until equitable.
 
     Cells split by neighbor counts into active splitter cells; fragments are
     ordered by count so the outcome depends only on the isomorphism type.
+    The queue starts with ``splitters``, popped from the end, or with every
+    cell when none are given.
+
+    A branch of the canonical search passes only ``W - {v}`` after
+    individualising v in a cell W of an equitable partition, and gets the
+    same partition as from every cell (McKay, J. Algorithms 26, 1998).  A
+    cell X of an equitable partition is a no-op splitter for every
+    refinement of it, since each current cell lies inside an old one and
+    |N(y) & X| is constant there; so the old cells split nothing when
+    popped.  Neither does ``{v}`` once ``W - {v}`` has been processed:
+    counts to W and to ``W - {v}`` are then constant on every cell, and
+    later cells only get smaller.  The full queue first pops the old cells
+    that follow ``W - {v}``, all no-ops, so ``W - {v}`` is its first
+    splitter that does anything, followed by the same fragments in the same
+    order: the splits, and the result, are identical.
     """
-    queue = list(cells)
+    queue = list(cells if splitters is None else splitters)
     while queue:
         splitter = queue.pop()
         new_cells = []
@@ -156,7 +171,7 @@ def _canonical_rows(n: int, adj, cells=None):
                 continue
             rest = cell ^ b
             branched = cells_[:idx] + [b, rest] + cells_[idx + 1:]
-            search(_refine(adj, branched), prefix + (v,))
+            search(_refine(adj, branched, [rest]), prefix + (v,))
             explored.append(v)
 
     search(cells, ())

@@ -114,8 +114,9 @@ class TestPatternVocabulary:
         ps = parse_pattern_set("Z2, P6")
         assert ps.label == "{Z2,P6}"
         assert [g.n for g in ps.check_order()] == [5, 6]
-        with pytest.raises(ValueError):
-            parse_pattern_set(" , ")
+        for text in (" , ", "", "Z2,,P6", "Z2,", ",P6"):
+            with pytest.raises(ValueError, match="empty field in pattern list"):
+                parse_pattern_set(text)
         with pytest.raises(ValueError):
             parse_pattern_set("P4,P4")
 

@@ -287,6 +287,12 @@ class TestVerify:
         capsys.readouterr()
         assert code == 1
 
+    def test_empty_pattern_field_is_usage_error(self, capsys):
+        code = main(["verify", "--pair", "Z2,,P6", "--n-max", "4"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "error: empty field in pattern list 'Z2,,P6'" in err
+
     def test_non_ascii_record_is_usage_error(self, capsys):
         # read as '?' this record would be a connected 6-vertex pattern
         code = main(["verify", "--pair", "g6:E~\u00e9g", "--n-max", "6"])

@@ -41,7 +41,8 @@ from edgeconn import (
     triangle_with_tail,
     walk,
 )
-from edgeconn.iso import _canonical_rows, _find, _join, relabel
+from edgeconn.graphs import _bits
+from edgeconn.iso import _canonical_rows, _find, _join, _refine, relabel
 from edgeconn.oracles import contains_induced_oracle
 
 
@@ -122,6 +123,54 @@ class TestCanonicalIdentity:
                 for h in (g, Graph(n, [full ^ 1 << v ^ r for v, r in enumerate(g.adj)])):
                     got = orbit_partition(n, _canonical_rows(n, h.adj)[2])
                     assert got == brute_orbits(h), to_graph6(h)
+
+
+def petersen_graph() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return from_edges(10, outer + spokes + inner)
+
+
+def check_branch_seeding(g: Graph, depth: int = 2) -> int:
+    """Compare seeded and full-queue refinement on every branch to ``depth``.
+
+    A branch individualises a vertex v of a non-singleton cell W of an
+    equitable partition; refining from the one splitter W - {v} must give
+    exactly what refining from every cell gives.  Returns the branch count.
+    """
+    adj = g.adj
+    checked = 0
+    frontier = [_refine(adj, [(1 << g.n) - 1])]
+    for _ in range(depth):
+        nxt = []
+        for cells in frontier:
+            for idx, cell in enumerate(cells):
+                if cell & (cell - 1) == 0:
+                    continue
+                for v in _bits(cell):
+                    rest = cell ^ 1 << v
+                    branched = cells[:idx] + [1 << v, rest] + cells[idx + 1:]
+                    seeded = _refine(adj, branched, [rest])
+                    assert seeded == _refine(adj, branched), (to_graph6(g), idx, v)
+                    nxt.append(seeded)
+                    checked += 1
+        frontier = nxt
+    return checked
+
+
+class TestBranchSeeding:
+    def test_walk_seven(self):
+        assert sum(check_branch_seeding(g) for g in walk(7)) == 11203
+
+    @given(labeled_graphs(max_n=10))
+    @settings(max_examples=100, deadline=None)
+    def test_labelled_graphs(self, g):
+        check_branch_seeding(g)
+
+    def test_symmetric_graphs(self):
+        for g in (complete_bipartite(6, 6), cycle_graph(12), petersen_graph()):
+            assert check_branch_seeding(g) > 0
 
 
 class TestCanonical:
