@@ -7,9 +7,14 @@ at the best value so far (the minimum degree to begin with).  Minimum edge
 cut certificates still take every sink, for their least-sink tie-break, and
 read their source side off the kernel's last failed search.  Vertex
 connectivity runs it on the usual vertex-split network over a dominating
-family of nonadjacent pairs.  The clique number is a bitset branch and bound
-in plain vertex order, and chordality is simplicial elimination.  All are
-cheap at the orders this package scans (n well under a hundred).
+family of nonadjacent pairs, each flow capped at the best value so far (the
+minimum degree delta to begin with), and stops once that value reaches
+max(1, 2 delta + 2 - n): the smallest component C of G minus a minimum cut
+has |C| <= (n - kappa) / 2 and a vertex of degree at most |C| - 1 + kappa,
+so kappa >= 2 delta + 2 - n on every connected non-complete graph.  The
+clique number is a bitset branch and bound in plain vertex order, and
+chordality is simplicial elimination.  All are cheap at the orders this
+package scans (n well under a hundred).
 """
 
 from __future__ import annotations
@@ -58,11 +63,13 @@ def _unit_flow(arc, s: int, t: int, cap: int) -> tuple[int, int]:
             nxt = []
             for a in queue:
                 grow = (free[a] | back[a]) & ~reach
-                if grow:
-                    reach |= grow
-                    for b in _bits(grow):
-                        parent[b] = a
-                        nxt.append(b)
+                reach |= grow
+                while grow:
+                    low = grow & -grow
+                    grow ^= low
+                    b = low.bit_length() - 1
+                    parent[b] = a
+                    nxt.append(b)
             queue = nxt
         if not reach & sink:
             break
@@ -170,32 +177,47 @@ def min_edge_cut(g: Graph) -> CutCertificate:
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Return vertex connectivity, with complete graphs mapped to n - 1."""
+    """Return vertex connectivity, with complete graphs mapped to n - 1.
+
+    Flows run on the vertex-split network over the nonadjacent pairs of one
+    min-degree vertex v (Esfahanian and Hakimi, Networks 1984): v against
+    each non-neighbour, then each nonadjacent pair of v's neighbours.  A
+    minimum cut either avoids v, and so separates v from a non-neighbour, or
+    contains v, and then separates two of v's neighbours.  The answer starts
+    at delta, the degree of v, and each flow is capped at the best value so
+    far.  The search stops once that value reaches max(1, 2 delta + 2 - n),
+    a floor for every connected non-complete graph: if S is a minimum cut
+    and C the smallest component of G - S, a vertex of C has degree at most
+    |C| - 1 + kappa and |C| <= (n - kappa) / 2, so kappa >= 2 delta + 2 - n.
+    A non-complete graph with delta = 1 or delta = n - 2 therefore runs no
+    flow.  A complete graph has no nonadjacent pair, runs no flow and keeps
+    delta = n - 1.
+    """
     if not is_connected(g):
         raise GraphError("vertex connectivity is defined here for connected graphs")
+    adj = g.adj
     n = g.n
-    full = (1 << n) - 1
-    # a minimum cut either avoids v (separating v from a non-neighbor) or
-    # contains v, in which case it separates two of v's neighbors; checking
-    # one min-degree vertex this way covers every minimum cut
-    v = min(range(n), key=lambda u: (g.adj[u].bit_count(), u))
+    v = min(range(n), key=lambda u: (adj[u].bit_count(), u))
+    best = adj[v].bit_count()
+    floor = max(1, 2 * best + 2 - n)
+    if best == floor:
+        return best
     # the vertex-split network: vertex w becomes the arc 2w -> 2w+1 and each
     # edge wu the arcs 2w+1 -> 2u and 2u+1 -> 2w, so for nonadjacent x, y a
     # flow 2x+1 -> 2y counts internally disjoint x-y paths
     arc = [0] * (2 * n)
     for w in range(n):
         arc[2 * w] = 1 << (2 * w + 1)
-        for u in _bits(g.adj[w]):
+        for u in _bits(adj[w]):
             arc[2 * w + 1] |= 1 << (2 * u)
-    # a complete graph runs no flow below and keeps n - 1
-    best = n - 1
-    for u in _bits(full & ~g.adj[v] & ~(1 << v)):
-        best = min(best, _unit_flow(arc, 2 * v + 1, 2 * u, n)[0])
-    nbrs = list(_bits(g.adj[v]))
-    for i, x in enumerate(nbrs):
-        for y in nbrs[i + 1:]:
-            if not g.has_edge(x, y):
-                best = min(best, _unit_flow(arc, 2 * x + 1, 2 * y, n)[0])
+    pairs = [(v, u) for u in _bits(((1 << n) - 1) & ~adj[v] & ~(1 << v))]
+    for x in _bits(adj[v]):
+        pairs += [(x, y) for y in _bits(adj[v] & ~adj[x] & ~((2 << x) - 1))]
+    for x, y in pairs:
+        # a flow capped at best returns min(best, kappa(x, y))
+        best = _unit_flow(arc, 2 * x + 1, 2 * y, best)[0]
+        if best == floor:
+            break
     return best
 
 

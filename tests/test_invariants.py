@@ -32,6 +32,7 @@ from edgeconn import (
     walk,
 )
 from edgeconn.graphs import Graph, is_connected
+from edgeconn.invariants import _unit_flow
 from edgeconn.oracles import distance_matrix, edge_cut_oracle, vertex_cut_oracle
 
 from test_iso import graph_from_mask, labeled_graphs
@@ -48,7 +49,7 @@ class TestFrozenValues:
         assert diameter(g) == 3
 
     def test_standard_families(self):
-        for n in (2, 3, 5, 7):
+        for n in range(2, 10):
             k = complete_graph(n)
             assert edge_connectivity(k) == n - 1
             assert vertex_connectivity(k) == n - 1
@@ -63,7 +64,8 @@ class TestFrozenValues:
             assert min_degree(s) == 1
             assert edge_connectivity(s) == 1
             assert vertex_connectivity(s) == (1 if r > 1 else 1)
-        assert vertex_connectivity(complete_bipartite(2, 5)) == 2
+        for a, b in ((1, 2), (1, 6), (2, 3), (2, 5), (2, 7), (3, 4), (3, 6), (4, 5), (5, 2)):
+            assert vertex_connectivity(complete_bipartite(a, b)) == min(a, b)
         assert edge_connectivity(complete_bipartite(2, 5)) == 2
         assert edge_connectivity(complete_bipartite(3, 3)) == 3
 
@@ -88,6 +90,26 @@ class TestFrozenValues:
         assert edge_connectivity(complete_graph(2)) == 1
         assert edge_connectivity(complete_graph(9)) == 8
         assert vertex_connectivity(complete_graph(2)) == 1
+
+    def test_kappa_between_and_at_the_floor(self):
+        """kappa strictly between the floor max(1, 2 delta + 2 - n) and delta,
+        and kappa at the floor but below delta, against the brute-force cut."""
+        def join_of_cliques(s, c1, c2):
+            """K_s joined to the disjoint union of K_c1 and K_c2."""
+            n = s + c1 + c2
+            blocks = [range(s, s + c1), range(s + c1, n)]
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if u < s or any(u in b and v in b for b in blocks)]
+            return from_edges(n, edges)
+
+        # n = 9, delta = 4: the floor is 1 and kappa = 2 lies strictly between
+        g = join_of_cliques(2, 3, 4)
+        assert (g.n, min_degree(g), vertex_connectivity(g)) == (9, 4, 2)
+        assert vertex_connectivity(g) == vertex_cut_oracle(g)
+        # n = 8, delta = 4: kappa = 2 is the floor 2 delta + 2 - n, below delta
+        g = join_of_cliques(2, 3, 3)
+        assert (g.n, min_degree(g), vertex_connectivity(g)) == (8, 4, 2)
+        assert vertex_connectivity(g) == vertex_cut_oracle(g)
 
 
 class TestOracleSweeps:
@@ -161,6 +183,33 @@ class TestSecondRoute:
             gaps += kp < min_degree(g)
         # the dominating-set lemma only matters on graphs with kappa' < delta
         assert gaps >= 200
+
+    def test_bounded_kappa_matches_unbounded_flows(self):
+        """kappa from capped flows over the Esfahanian-Hakimi pairs, stopped at
+        the floor max(1, 2 delta + 2 - n), equals the minimum of uncapped flows
+        over every nonadjacent pair on a split network built here."""
+        gs = list(walk(8)) + _gap_prone_graphs(seed=9, count=1500)
+        at_floor = gaps = between = 0
+        for g in gs:
+            n = g.n
+            arc = [0] * (2 * n)
+            for w in range(n):
+                arc[2 * w] = 1 << (2 * w + 1)
+                for u in range(n):
+                    if g.has_edge(w, u):
+                        arc[2 * w + 1] |= 1 << (2 * u)
+            flows = [_unit_flow(arc, 2 * x + 1, 2 * y, n)[0]
+                     for x in range(n) for y in range(x + 1, n) if not g.has_edge(x, y)]
+            k = vertex_connectivity(g)
+            assert k == min(flows, default=n - 1), to_graph6(g)
+            d = min_degree(g)
+            floor = max(1, 2 * d + 2 - n)
+            at_floor += bool(flows) and k == floor
+            gaps += k < d
+            between += floor < k < d
+        # both ways out of the search occur: stopping at the floor, and
+        # running every pair with kappa below delta but above the floor
+        assert (at_floor, gaps, between) == (5069, 1011, 389)
 
 
 def _nx_graph(nx, g):
