@@ -125,9 +125,9 @@ def parse_pattern_token(token: str) -> Pattern:
     """Turn one vocabulary token into a labeled pattern.
 
     Tokens: P<i>, C<n>, K<n>, K<m>_<n>, Z<i>, T<i>_<j>_<k>, H0, H1, or an
-    inline record with the g6: prefix.  Parameterized names use underscores
-    so commas stay free to separate set members.  A token naming more than
-    62 vertices is refused before its graph is built.
+    inline record with the g6: prefix.  Parameters are ASCII digits joined by
+    underscores, so commas stay free to separate set members.  A token naming
+    more than 62 vertices is refused before its graph is built.
     """
     tok = token.strip()
     if not tok:
@@ -136,11 +136,12 @@ def parse_pattern_token(token: str) -> Pattern:
         return Pattern(from_graph6(tok[3:]), tok)
     if tok in ("H0", "H1"):
         return Pattern(bowtie() if tok == "H0" else bridged_triangles(), tok)
-    try:
-        params = tuple(int(x) for x in tok[1:].split("_"))
-        build, order = _TOKEN_SHAPES[tok[0], len(params)]
-    except (KeyError, ValueError):
-        raise ValueError(f"cannot parse pattern token {token!r}") from None
+    fields = tok[1:].split("_")
+    shape = _TOKEN_SHAPES.get((tok[0], len(fields)))
+    if shape is None or not all(f.isascii() and f.isdigit() for f in fields):
+        raise ValueError(f"cannot parse pattern token {token!r}")
+    build, order = shape
+    params = tuple(map(int, fields))
     if order(*params) > MAX_PATTERN_ORDER:
         raise ValueError(f"pattern token {token!r} names {order(*params)} vertices;"
                          f" patterns have at most {MAX_PATTERN_ORDER}")
@@ -240,7 +241,11 @@ def _family_graph(family_id: int, params: tuple[int, ...]) -> Graph:
     bounds, blocks = _FAMILIES[family_id]
     if len(params) != len(bounds) or not all(lo <= x <= hi for x, (lo, hi) in zip(params, bounds)):
         raise ValueError(f"family {family_id} expects {_FAMILY_RANGES[family_id]}")
-    return _joined(*blocks(*params))
+    g = _joined(*blocks(*params))
+    if g.n > MAX_PATTERN_ORDER:
+        raise ValueError(f"family {family_id} params {params} has {g.n} vertices; members have"
+                         f" at most {MAX_PATTERN_ORDER}, the graph6 short-form limit")
+    return g
 
 
 def _family_certificate(family_id: int, params, g: Graph) -> list[tuple[str, bool]]:
@@ -299,9 +304,6 @@ def make_family_member(family_id: int, params) -> FamilyMember:
     """Build a family member and verify its certificate, aborting on failure."""
     params = tuple(params)
     g = _family_graph(family_id, params)
-    if g.n > MAX_PATTERN_ORDER:
-        raise ValueError(f"family {family_id} params {params} has {g.n} vertices; members have"
-                         f" at most {MAX_PATTERN_ORDER}, the graph6 short-form limit")
     cert = _family_certificate(family_id, params, g)
     for name, ok in cert:
         if not ok:

@@ -39,7 +39,6 @@ from .iso import (
     contains_induced,
     is_free,
     maximal_common_induced_subgraphs,
-    pattern_equivalent,
     pattern_preceq,
     pattern_set,
     pattern_strictly_preceq,
@@ -309,8 +308,11 @@ def intersect_characterizations(a, b, max_order: int) -> list[PatternSet]:
     This finds every such H of at most k members of order <= ``max_order``:
     put each member of ha ∪ hb in a block i whose X_i it contains; X_i lies
     in a maximal common subgraph X'_i of its block, so H is at or below
-    {X'_i}.  Strictly dominated draws are dropped, and of each class of
-    equivalent sets the least by ``_rep_key`` is returned, in that order.
+    {X'_i}.  Strictly dominated draws are dropped; the rest come back in
+    ``_rep_key`` order and no two are equivalent.  Each draw is an antichain
+    under induced containment (``_reduce_members``).  If antichains H1 and H2
+    are equivalent, each y in H2 contains an x in H1 that contains a y' in
+    H2, so y = y' ≅ x; they have the same members, so the same ``results`` key.
     """
     if not 1 <= max_order <= 7:
         raise ValueError(f"max_order must be within 1..7, got {max_order}")
@@ -344,8 +346,4 @@ def intersect_characterizations(a, b, max_order: int) -> list[PatternSet]:
         h for h in formed
         if not any(pattern_strictly_preceq(h, other) for other in formed)
     ]
-    reps: list[PatternSet] = []
-    for h in sorted(kept, key=_rep_key):
-        if not any(pattern_equivalent(h, r) for r in reps):
-            reps.append(h)
-    return reps
+    return sorted(kept, key=_rep_key)

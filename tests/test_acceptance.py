@@ -118,14 +118,16 @@ def test_criterion_03_single_pattern_characterization(capsys):
     assert ok, detail
 
 
-def test_criterion_04_characterized_pairs_hold(capsys):
-    """All three characterized pairs keep the equality through n=9."""
-    t0 = time.perf_counter()
-    outcomes = []
-    for text in CHARACTERIZED_PAIRS["kappa_prime_delta"]:
-        rec = verify_pattern_set(parse_pattern_set(text), 9)
-        outcomes.append((text, rec))
-    elapsed = time.perf_counter() - t0
+def test_criterion_04_characterized_pairs_hold(capsys, order_nine_passes):
+    """All three characterized pairs keep the equality through n=9.
+
+    The records come from the session's one order-9 pass per set, which the
+    stream pins in test_enumeration.py read as well; the time shown is that
+    of the three scans.
+    """
+    outcomes = [(text, order_nine_passes[text][2])
+                for text in CHARACTERIZED_PAIRS["kappa_prime_delta"]]
+    elapsed = sum(rec.elapsed_ms for _, rec in outcomes) / 1000.0
     ok = all(rec.held and rec.graphs_scanned == DEEP_SCANNED[text] for text, rec in outcomes)
     scanned = ", ".join(f"{text}: {rec.graphs_scanned}" for text, rec in outcomes)
     detail = (

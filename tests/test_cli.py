@@ -300,6 +300,13 @@ class TestVerify:
         assert code == 1 and out == ""
         assert "error: byte 2 value 195 outside graph6 range" in err
 
+    def test_non_ascii_digit_parameter_is_usage_error(self, capsys):
+        # int() would read the Arabic-Indic six as 6 and label the claim {Z2,P\u0666}
+        code = main(["verify", "--pair", "Z2,P\u0666", "--n-max", "6"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "error: cannot parse pattern token 'P\u0666'" in err
+
 
 class TestMine:
     def test_witness_found(self, capsys):

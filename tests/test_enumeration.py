@@ -338,14 +338,11 @@ class TestWalk:
                 assert got[n] == want, (ps.label, n)
 
     @pytest.mark.parametrize("text, counts, digest", WALK9_PINS, ids=[p[0] for p in WALK9_PINS])
-    def test_order_nine_streams_pinned(self, text, counts, digest):
-        got = [0] * 8
-        stream = hashlib.sha256()
-        for g in walk(9, parse_pattern_set(text)):
-            got[g.n - 2] += 1
-            stream.update((to_graph6(g) + "\n").encode("ascii"))
+    def test_order_nine_streams_pinned(self, text, counts, digest, order_nine_passes):
+        # the session's one walk(9, set) per set, shared with acceptance criterion 4
+        got, stream_digest, _ = order_nine_passes[text]
         assert got == counts
-        assert stream.hexdigest()[:16] == digest
+        assert stream_digest == digest
 
     def test_pooled_pattern_walk_keeps_order(self):
         # 88 free parents at order 6 and 446 at order 7, so orders 7 and 8 use the pool
