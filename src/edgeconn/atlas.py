@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, from_edges, from_graph6
+from .graphs import GRAPH6_MAX_ORDER, Graph, from_edges, from_graph6
 from .invariants import (
     clique_number,
     edge_connectivity,
@@ -116,18 +116,15 @@ _TOKEN_SHAPES = {
     ("T", 3): (spider, lambda i, j, k: i + j + k + 1),
 }
 
-# the largest order graph6 short form (and so canonical labelling) handles;
-# pattern tokens and family members both stay within it
-MAX_PATTERN_ORDER = 62
-
 
 def parse_pattern_token(token: str) -> Pattern:
     """Turn one vocabulary token into a labeled pattern.
 
     Tokens: P<i>, C<n>, K<n>, K<m>_<n>, Z<i>, T<i>_<j>_<k>, H0, H1, or an
     inline record with the g6: prefix.  Parameters are ASCII digits joined by
-    underscores, so commas stay free to separate set members.  A token naming
-    more than 62 vertices is refused before its graph is built.
+    underscores, so commas stay free to separate set members, and carry no
+    leading zero, so a name has one spelling.  A token naming more than
+    GRAPH6_MAX_ORDER vertices is refused before its graph is built.
     """
     tok = token.strip()
     if not tok:
@@ -138,13 +135,14 @@ def parse_pattern_token(token: str) -> Pattern:
         return Pattern(bowtie() if tok == "H0" else bridged_triangles(), tok)
     fields = tok[1:].split("_")
     shape = _TOKEN_SHAPES.get((tok[0], len(fields)))
-    if shape is None or not all(f.isascii() and f.isdigit() for f in fields):
+    if shape is None or not all(f.isascii() and f.isdigit() and (f == "0" or f[0] != "0")
+                                for f in fields):
         raise ValueError(f"cannot parse pattern token {token!r}")
     build, order = shape
     params = tuple(map(int, fields))
-    if order(*params) > MAX_PATTERN_ORDER:
+    if order(*params) > GRAPH6_MAX_ORDER:
         raise ValueError(f"pattern token {token!r} names {order(*params)} vertices;"
-                         f" patterns have at most {MAX_PATTERN_ORDER}")
+                         f" patterns have at most {GRAPH6_MAX_ORDER}")
     try:
         return Pattern(build(*params), tok)
     except ValueError as exc:
@@ -242,9 +240,9 @@ def _family_graph(family_id: int, params: tuple[int, ...]) -> Graph:
     if len(params) != len(bounds) or not all(lo <= x <= hi for x, (lo, hi) in zip(params, bounds)):
         raise ValueError(f"family {family_id} expects {_FAMILY_RANGES[family_id]}")
     g = _joined(*blocks(*params))
-    if g.n > MAX_PATTERN_ORDER:
+    if g.n > GRAPH6_MAX_ORDER:
         raise ValueError(f"family {family_id} params {params} has {g.n} vertices; members have"
-                         f" at most {MAX_PATTERN_ORDER}, the graph6 short-form limit")
+                         f" at most {GRAPH6_MAX_ORDER}, the graph6 short-form limit")
     return g
 
 

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: invariants, free, atlas, enumerate, conditions, verify, mine,
-selftest.  Reports are JSON (objects, one per line for streams) or CSV.
-Exit codes: 0 success / claim held, 2 claim violated or witness missing,
-1 usage or I/O error.  Worker count defaults to the EDGECONN_WORKERS
+selftest, campaign.  Reports are JSON (objects, one per line for streams) or
+CSV.  Exit codes: 0 success / claim held, 2 claim violated or witness
+missing, 1 usage or I/O error.  Worker count defaults to the EDGECONN_WORKERS
 environment variable; a count that is not an integer or is below 1 is an
 error (exit 1).
 """
@@ -16,15 +16,27 @@ import io
 import json
 import os
 import sys
+import time
+from pathlib import Path
 
 from .atlas import make_family_member, parse_pattern_set, parse_pattern_token
 from .conditions import CONDITION_NAMES, condition_implication_rows
-from .enumeration import MAX_ENUM_ORDER, connected_level, read_graph6_stream
+from .enumeration import MAX_ENUM_ORDER, connected_level, read_graph6_stream, walk
 from .graphs import Graph6Error, GraphError, to_graph6
 from .invariants import InvariantReport, compute_report
-from .iso import is_free
+from .iso import is_free, pattern_equivalent
 from .selftest import run_selftest
-from .verify import TARGETS, mine_witness, verify_pattern_set
+from .verify import (
+    CHARACTERIZED_PAIRS,
+    TARGETS,
+    characterized_sets,
+    condition_soundness,
+    cut_interior_sweep,
+    intersect_characterizations,
+    mine_witness,
+    verify_pattern_set,
+    witness_sweep,
+)
 
 _TARGET_CHOICES = {name.replace("_", "-"): name for name in TARGETS}
 
@@ -85,6 +97,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_workers(p)
 
     sub.add_parser("selftest", help="run the embedded oracle cross-checks")
+
+    p = sub.add_parser("campaign", help="run the verification campaign and write JSON reports")
+    p.add_argument("--n-max", type=int, default=9,
+                   help="scan depth for the equality claims (default 9)")
+    p.add_argument("--sweep-n-max", type=int, default=8,
+                   help="depth for the condition and cut-interior sweeps (default 8)")
+    p.add_argument("--out-dir", default="reports", help="report directory")
+    add_workers(p)
     return parser
 
 
@@ -220,6 +240,100 @@ def _run_selftest(ns: argparse.Namespace) -> int:
     return 0 if all(passed for _, passed, _ in cases) else 2
 
 
+def _scan_line(rec) -> str:
+    """One summary line for a scan record, naming each of its tallies."""
+    mark = "held" if rec.held else f"{len(rec.counterexamples)} counterexamples"
+    counts = "".join(f", {count} {name}" for name, count in rec.tallies)
+    return (f"  {rec.claim_id}: {mark} "
+            f"({rec.graphs_scanned} graphs scanned{counts}, {rec.elapsed_ms:.0f} ms)")
+
+
+def _run_campaign(ns: argparse.Namespace) -> int:
+    """Run the six campaign sections in order, one JSON report each under --out-dir.
+
+    The sections: the embedded selftest, exhaustive equality scans for every
+    characterized pattern set of all three targets, witness mining for the
+    catalogued pairs just beyond the edge-connectivity boundary, the
+    sufficient-condition soundness sweep, the minimum-cut interior sweep, and
+    the intersection of the two single-equality characterizations.  One
+    summary line per record goes to stdout.  Returns 2 when any section finds
+    a violation; a failed selftest stops the campaign there.
+    """
+    # the library's own depth and worker checks, made before any report is written
+    walk(ns.n_max)
+    walk(ns.sweep_n_max, workers=ns.workers)
+    out_dir = Path(ns.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
+
+    def report(name: str, payload):
+        path = out_dir / f"{name}.json"
+        _emit(json.dumps(payload, indent=2) + "\n", str(path))
+        print(f"  wrote {path}")
+
+    held = {}
+    print("[1/6] selftest")
+    cases = [{"case_id": cid, "passed": passed, "detail": detail}
+             for cid, passed, detail in run_selftest()]
+    report("selftest", cases)
+    for row in cases:
+        print(f"  {'PASS' if row['passed'] else 'FAIL'} {row['case_id']}")
+    held["selftest"] = all(row["passed"] for row in cases)
+    if not held["selftest"]:
+        print("selftest failed; aborting the campaign", file=sys.stderr)
+        return 2
+
+    print(f"[2/6] equality scans, n <= {ns.n_max}")
+    scans = []
+    for target in TARGETS:
+        for ps in characterized_sets(target):
+            scans.append(verify_pattern_set(ps, ns.n_max, target, ns.workers))
+            print(_scan_line(scans[-1]))
+    report("equality_scans", [rec.as_dict() for rec in scans])
+    held["equality_scans"] = all(rec.held for rec in scans)
+
+    print(f"[3/6] extension witnesses, n <= {ns.n_max}")
+    rows = witness_sweep(ns.n_max, ns.workers)
+    for row in rows:
+        if row["witness"] is None:
+            print(f"  {row['pair']}: no witness up to n={ns.n_max}")
+        else:
+            print(f"  {row['pair']}: witness {row['witness']} "
+                  f"(kappa'={row['kappa_prime']} < delta={row['delta']}, {row['origin']})")
+    report("extension_witnesses", rows)
+    held["extension_witnesses"] = all(row["witness"] is not None for row in rows)
+
+    for step, name, title, sweep in (
+        (4, "condition_soundness", "sufficient-condition soundness", condition_soundness),
+        (5, "cut_interior", "minimum-cut interiors", cut_interior_sweep),
+    ):
+        print(f"[{step}/6] {title}, n <= {ns.sweep_n_max}")
+        rec = sweep(ns.sweep_n_max, ns.workers)
+        report(name, rec.as_dict())
+        print(_scan_line(rec))
+        held[name] = rec.held
+
+    print("[6/6] characterization intersection")
+    meet = intersect_characterizations(
+        characterized_sets("kappa_kappa_prime"), characterized_sets("kappa_prime_delta"), 6
+    )
+    report("characterization_intersection",
+           [{"label": ps.label, "members": [p.label for p in ps.patterns]} for ps in meet])
+    for ps in meet:
+        print(f"  meet element: {ps.label}")
+    want = [parse_pattern_set(t) for t in CHARACTERIZED_PAIRS["kappa_delta"]]
+    held["intersection"] = len(meet) == len(want) and all(
+        any(pattern_equivalent(w, got) for got in meet) for w in want
+    )
+
+    elapsed = time.perf_counter() - t0
+    summary = {name: ("ok" if ok else "VIOLATION") for name, ok in held.items()}
+    report("summary", {"elapsed_s": round(elapsed, 1), **summary})
+    print(f"campaign finished in {elapsed:.0f}s: "
+          + ", ".join(f"{k}={v}" for k, v in summary.items()))
+    return 0 if all(held.values()) else 2
+
+
 _RUNNERS = {
     "invariants": _run_invariants,
     "free": _run_free,
@@ -229,6 +343,7 @@ _RUNNERS = {
     "verify": _run_verify,
     "mine": _run_mine,
     "selftest": _run_selftest,
+    "campaign": _run_campaign,
 }
 
 

@@ -225,13 +225,18 @@ def is_bipartite(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# graph6 codec (short form, n <= 62)
+# graph6 codec (short form only)
+
+# the largest order graph6 short form handles, and so canonical labelling,
+# pattern tokens and family members
+GRAPH6_MAX_ORDER = 62
+
 
 def to_graph6(g: Graph) -> str:
-    """Encode as a one-line graph6 record (short form, n <= 62)."""
+    """Encode as a one-line graph6 record (short form, n <= GRAPH6_MAX_ORDER)."""
     n = g.n
-    if n > 62:
-        raise Graph6Error(f"short-form graph6 handles n <= 62, got {n}")
+    if n > GRAPH6_MAX_ORDER:
+        raise Graph6Error(f"short-form graph6 handles n <= {GRAPH6_MAX_ORDER}, got {n}")
     out = [n + 63]
     acc = 0
     nbits = 0
@@ -267,8 +272,10 @@ def from_graph6(line: str) -> Graph:
         if not 63 <= byte <= 126:
             raise Graph6Error(f"byte {off} value {byte} outside graph6 range 63..126")
     n = data[0] - 63
-    if n > 62:
-        raise Graph6Error("byte 0: long-form vertex counts (n > 62) not supported")
+    if n > GRAPH6_MAX_ORDER:
+        raise Graph6Error(
+            f"byte 0: long-form vertex counts (n > {GRAPH6_MAX_ORDER}) not supported"
+        )
     k = n * (n - 1) // 2
     want = 1 + (k + 5) // 6
     if len(data) != want:

@@ -104,7 +104,9 @@ class TestPatternVocabulary:
     def test_bad_tokens(self):
         for bad in ("", "Q7", "P", "Px", "K2_", "T1_1", "Z0", "C2", "g6:Bww",
                     # parameters are ASCII digits: no sign, no inner space, no other script
-                    "P+4", "P 4", "P\u0664", "K\u0663_3"):
+                    "P+4", "P 4", "P\u0664", "K\u0663_3",
+                    # and carry no leading zero, so a name has one spelling
+                    "P04", "T1_1_03", "K01_3"):
             with pytest.raises(ValueError):
                 parse_pattern_token(bad)
         # past graph6's 62 vertices a token is refused before its graph is built

@@ -1,4 +1,8 @@
-"""The verification campaign script: report identity, exit codes, worker input."""
+"""The verification campaign: report identity, exit codes, worker input.
+
+The in-process tests go through the checkout shim `scripts/run_verification.py`,
+which forwards to `edgeconn campaign`; the subprocess tests run both entries.
+"""
 
 import importlib.util
 import json
@@ -11,6 +15,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "run_verification.py"
+# the checkout shim and the subcommand it forwards to, as subprocess command prefixes
+ENTRIES = {
+    "shim": [sys.executable, str(SCRIPT)],
+    "module": [sys.executable, "-m", "edgeconn.cli", "campaign"],
+}
 REPORTS = ROOT / "reports"
 
 # reports whose content does not depend on the scan depth, so a depth-8 run
@@ -63,11 +72,11 @@ def read_report(directory: Path, name: str):
     return json.loads((directory / f"{name}.json").read_text(encoding="utf-8"))
 
 
-def run_script(*args, env_extra=None):
+def run_entry(entry, *args, env_extra=None):
     env = os.environ.copy()
     env.update(env_extra or {})
     return subprocess.run(
-        [sys.executable, str(SCRIPT), *args],
+        [*ENTRIES[entry], *args],
         capture_output=True,
         text=True,
         env=env,
@@ -131,14 +140,16 @@ def test_scan_depth_above_bound_exits_before_any_report(tmp_path, capsys, n_max)
     ("abc", "argument --workers: invalid int value: 'abc'"),
     ("0", "error: workers must be at least 1, got 0"),
 ], ids=["not-an-integer", "zero"])
-def test_bad_workers_env_exits_one(tmp_path, raw, message):
-    proc = run_script("--n-max", "2", "--sweep-n-max", "2", "--out-dir", str(tmp_path),
-                      env_extra={"EDGECONN_WORKERS": raw})
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_bad_workers_env_exits_one(tmp_path, entry, raw, message):
+    proc = run_entry(entry, "--n-max", "2", "--sweep-n-max", "2", "--out-dir", str(tmp_path),
+                     env_extra={"EDGECONN_WORKERS": raw})
     assert proc.returncode == 1
     assert message in proc.stderr
     assert json_reports(tmp_path) == []
 
 
-def test_bad_workers_env_does_not_break_help():
-    proc = run_script("--help", env_extra={"EDGECONN_WORKERS": "abc"})
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_bad_workers_env_does_not_break_help(entry):
+    proc = run_entry(entry, "--help", env_extra={"EDGECONN_WORKERS": "abc"})
     assert proc.returncode == 0, proc.stderr

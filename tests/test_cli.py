@@ -307,6 +307,13 @@ class TestVerify:
         assert code == 1 and out == ""
         assert "error: cannot parse pattern token 'P\u0666'" in err
 
+    def test_leading_zero_parameter_is_usage_error(self, capsys):
+        # read as 6 this token would label the {Z2,P6} claim {Z2,P06}
+        code = main(["verify", "--pair", "Z2,P06", "--n-max", "5"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "error: cannot parse pattern token 'P06'" in err
+
 
 class TestMine:
     def test_witness_found(self, capsys):
@@ -344,8 +351,9 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         code = main(["--help"])
-        capsys.readouterr()
+        out = capsys.readouterr().out
         assert code == 0
+        assert "campaign" in out
 
 
 class TestSubprocessEntry:
