@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .atlas import make_family_member, parse_pattern_set, parse_pattern_token
 from .conditions import CONDITION_NAMES, condition_implication_rows
-from .enumeration import MAX_ENUM_ORDER, connected_level, read_graph6_stream, walk
+from .enumeration import MAX_ENUM_ORDER, _numbered_graph6, connected_level, walk
 from .graphs import Graph6Error, GraphError, to_graph6
 from .invariants import InvariantReport, compute_report
 from .iso import is_free, pattern_equivalent
@@ -133,18 +133,30 @@ def _csvable(value):
     return value
 
 
+def _per_record(path, row) -> list[dict]:
+    """``row(g)`` for each graph of a graph6 file, in order.
+
+    A graph that ``row`` rejects (a GraphError, such as a 1-vertex or
+    disconnected record) is named as ``path:lineno:``, like a parse error.
+    """
+    rows = []
+    for lineno, g in _numbered_graph6(path):
+        try:
+            rows.append(row(g))
+        except GraphError as exc:
+            raise GraphError(f"{os.fspath(path)}:{lineno}: {exc}") from None
+    return rows
+
+
 def _run_invariants(ns: argparse.Namespace) -> int:
-    rows = [compute_report(g).as_dict() for g in read_graph6_stream(ns.input_path)]
+    rows = _per_record(ns.input_path, lambda g: compute_report(g).as_dict())
     _emit(_rows_report(rows, InvariantReport.FIELDS, ns.fmt), ns.output_path)
     return 0
 
 
 def _run_free(ns: argparse.Namespace) -> int:
     patterns = parse_pattern_set(ns.patterns)
-    rows = [
-        {"graph6": to_graph6(g), "free": is_free(g, patterns)}
-        for g in read_graph6_stream(ns.input_path)
-    ]
+    rows = _per_record(ns.input_path, lambda g: {"graph6": to_graph6(g), "free": is_free(g, patterns)})
     _emit(_rows_report(rows, ("graph6", "free"), ns.fmt), ns.output_path)
     return 0
 
@@ -195,15 +207,16 @@ def _run_enumerate(ns: argparse.Namespace) -> int:
 
 def _run_conditions(ns: argparse.Namespace) -> int:
     fields = ("graph6",) + CONDITION_NAMES + ("kappa_prime_equals_delta",)
-    rows = []
-    for g in read_graph6_stream(ns.input_path):
+
+    def conditions_row(g):
         table = condition_implication_rows(g)
         row = {"graph6": to_graph6(g)}
         for entry in table:
             row[entry.condition.name] = entry.holds
         row["kappa_prime_equals_delta"] = table[0].kappa_prime_equals_delta
-        rows.append(row)
-    _emit(_rows_report(rows, fields, ns.fmt), ns.output_path)
+        return row
+
+    _emit(_rows_report(_per_record(ns.input_path, conditions_row), fields, ns.fmt), ns.output_path)
     return 0
 
 

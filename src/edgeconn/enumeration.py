@@ -37,6 +37,24 @@ isomorphic to the parent.  The cell is equitable, so every u in it leaves the
 same degree multiset, and a candidate whose child - u fails the parent's
 degree sequence is rejected before the canonical search.  When the new vertex
 is in that cell the same equitability makes the degree test always pass.
+
+Singleton lemma.  When that last cell holds exactly one removable vertex, the
+cell lemma names the chosen vertex, and the child is not canonically labelled
+to find it: a child whose one vertex there is the new vertex is accepted, and
+one whose vertex is another u is accepted when child - u is isomorphic to the
+parent.  The sibling filter stays exact.  In a candidate that passes the
+degree lemma the removable set is the set of non-cut vertices of largest
+degree, so an isomorphism between two children maps it onto the other's, and
+the ordered first refinement onto the other's.  The size of that cell's
+removable part is therefore an invariant, and a singleton child never
+duplicates a child whose part has two or more vertices; those keep their
+encodings and the form-set test.  Two children whose singleton is the new
+vertex never collide either: an isomorphism between them maps the one vertex
+onto the other, so it fixes the new vertex and restricts to a parent
+automorphism taking one mask onto the other, and only one mask per orbit is
+tried.  So singleton children are labelled only when some sibling was
+accepted through another vertex u, and then all at once, after the loop, and
+filtered in mask order like the rest.
 """
 
 from __future__ import annotations
@@ -171,8 +189,8 @@ def _expand(parent: Graph, patterns) -> list[Graph]:
     _, parent_enc, parent_autos = _canonical_rows(pn, padj)
     parent_degs = sorted(r.bit_count() for r in padj)
     cut_table = _cut_table(pn, padj)
-    out = []
-    seen_encs = set()
+    accepted = []  # (rows, encoding or None when not yet labelled), in mask order
+    relabel = False  # some child was accepted through a singleton cell not holding the new vertex
     for mask in _orbit_leaders(pn, parent_autos):
         rows = [padj[v] | new if mask >> v & 1 else padj[v] for v in range(pn)]
         rows.append(mask)
@@ -188,11 +206,25 @@ def _expand(parent: Graph, patterns) -> list[Graph]:
                 continue
         if any(_find_rows(n, rows, p, pn) is not None for p in patterns):
             continue
-        perm, enc, _ = _canonical_rows(n, rows, cells)
-        vstar = next(v for v in reversed(perm) if removable >> v & 1)
-        if vstar != pn and _canonical_rows(pn, _delete_rows(n, rows, vstar))[1] != parent_enc:
-            continue
-        if enc not in seen_encs:
+        single = top & removable
+        if single & (single - 1):
+            perm, enc, _ = _canonical_rows(n, rows, cells)
+            vstar = next(v for v in reversed(perm) if removable >> v & 1)
+        else:
+            # singleton lemma: the cell names vstar, and the child needs no labelling yet
+            enc = None
+            vstar = single.bit_length() - 1
+        if vstar != pn:
+            if _canonical_rows(pn, _delete_rows(n, rows, vstar))[1] != parent_enc:
+                continue
+            relabel |= enc is None
+        accepted.append((rows, enc))
+    if relabel:
+        accepted = [(rows, _canonical_rows(n, rows)[1] if enc is None else enc) for rows, enc in accepted]
+    out = []
+    seen_encs = set()
+    for rows, enc in accepted:
+        if enc is None or enc not in seen_encs:
             seen_encs.add(enc)
             out.append(Graph(n, rows))
     return out
@@ -288,6 +320,11 @@ def read_graph6_stream(path) -> Iterator[Graph]:
     A leading '>>graph6<<' marker is tolerated; blank lines are skipped.
     A non-ASCII byte is reported like any other byte outside the graph6 range.
     """
+    return (g for _, g in _numbered_graph6(path))
+
+
+def _numbered_graph6(path) -> Iterator[tuple[int, Graph]]:
+    """Yield (line number, graph) pairs; see ``read_graph6_stream``."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -296,9 +333,10 @@ def read_graph6_stream(path) -> Iterator[Graph]:
             if not line:
                 continue
             try:
-                yield from_graph6(line)
+                g = from_graph6(line)
             except Graph6Error as exc:
                 raise Graph6Error(f"{os.fspath(path)}:{lineno}: {exc}") from None
+            yield lineno, g
 
 
 def write_graph6_stream(path, graphs: Iterable[Graph]) -> int:

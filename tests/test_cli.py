@@ -104,6 +104,18 @@ class TestInvariants:
         assert code == 1
         assert ":2:" in err
 
+    @pytest.mark.parametrize("record, why", [
+        ("B?", "is defined here for connected graphs"),
+        ("@", "needs at least two vertices"),
+    ])
+    def test_record_outside_domain_names_line(self, tmp_path, capsys, record, why):
+        path = tmp_path / "in.g6"
+        path.write_text(f"Bw\nBg\n{record}\nBw\n")
+        code = main(["invariants", "--in", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: {path}:3: an invariant report {why}\n"
+
 
 class TestFree:
     def test_verdicts(self, tmp_path, capsys):
@@ -247,6 +259,18 @@ class TestConditions:
             "plesnik_znam_quadruple", "plesnik_znam_bipartite_diam3",
             "xu_pairing", "dankelmann_volkmann",
         ))
+
+    @pytest.mark.parametrize("record, why", [
+        ("B?", "is defined here for connected graphs"),
+        ("@", "needs at least two vertices"),
+    ])
+    def test_record_outside_domain_names_line(self, tmp_path, capsys, record, why):
+        path = tmp_path / "in.g6"
+        path.write_text(f"Bw\nBg\n{record}\nBw\n")
+        code = main(["conditions", "--in", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: {path}:3: a sufficient condition {why}\n"
 
 
 class TestVerify:

@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -27,7 +27,7 @@ from edgeconn import (
 )
 from edgeconn import enumeration
 from edgeconn.graphs import Graph, induced, is_connected
-from edgeconn.iso import _canonical_rows, _refine
+from edgeconn.iso import _as_graphs, _canonical_rows, _find_rows, _refine
 from edgeconn.oracles import connected_class_count_oracle
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -67,6 +67,49 @@ def child_rows(parent, mask):
     rows = [r | 1 << parent.n if mask >> v & 1 else r for v, r in enumerate(parent.adj)]
     rows.append(mask)
     return rows
+
+
+def reference_expand(parent, patterns=()):
+    """``enumeration._expand`` with every surviving candidate canonically
+    labelled: the acceptance step as it was before the singleton lemma.
+
+    Returns the accepted children, filtered by encoding in mask order, and
+    one (kind of the kept child, kind of the dropped one) pair per sibling
+    collision.  A child's kind is "new" or "other" when ``top & removable``
+    is the new vertex or another single vertex, and "many" otherwise.
+    """
+    pn = parent.n
+    n = pn + 1
+    new = 1 << pn
+    _, parent_enc, parent_autos = _canonical_rows(pn, parent.adj)
+    parent_degs = sorted(r.bit_count() for r in parent.adj)
+    cut_table = enumeration._cut_table(pn, parent.adj)
+    out, kinds, collisions = [], {}, []
+    for mask in enumeration._orbit_leaders(pn, parent_autos):
+        rows = child_rows(parent, mask)
+        removable = enumeration._removable(pn, rows, cut_table)
+        if not removable:
+            continue
+        cells = _refine(rows, [(1 << n) - 1])
+        top = enumeration._last_cell(cells, removable)
+        if not top & new:
+            u = (top & -top).bit_length() - 1
+            if sorted(r.bit_count() for r in enumeration._delete_rows(n, rows, u)) != parent_degs:
+                continue
+        if any(_find_rows(n, rows, p, pn) is not None for p in patterns):
+            continue
+        perm, enc, _ = _canonical_rows(n, rows, cells)
+        vstar = next(v for v in reversed(perm) if removable >> v & 1)
+        if vstar != pn and _canonical_rows(pn, enumeration._delete_rows(n, rows, vstar))[1] != parent_enc:
+            continue
+        single = top & removable
+        kind = "many" if single & (single - 1) else "new" if single == new else "other"
+        if enc in kinds:
+            collisions.append((kinds[enc], kind))
+        else:
+            kinds[enc] = kind
+            out.append(Graph(n, rows))
+    return out, collisions
 
 
 class TestCounts:
@@ -168,6 +211,40 @@ class TestExpansion:
             stream = "".join(to_graph6(g) + "\n" for g in levels8[n])
             assert hashlib.sha256(stream.encode("ascii")).hexdigest() == want, n
 
+    def test_singleton_lemma_keeps_full_search_output(self, levels7):
+        # _expand labels a child only when top & removable has two or more
+        # vertices, or to filter siblings once a child was accepted through
+        # another single vertex; it must return what labelling every
+        # candidate returns, in the same order
+        collisions = Counter()
+        for pn in range(1, 8):
+            for parent in levels7[pn]:
+                want, met = reference_expand(parent)
+                assert enumeration._expand(parent, ()) == want, to_graph6(parent)
+                collisions.update((pn + 1, kept, dropped) for kept, dropped in met)
+        # the lazily labelled branch is needed: a child accepted through the
+        # new vertex duplicates one accepted through another vertex
+        assert collisions[8, "new", "other"] + collisions[8, "other", "new"] >= 1
+        # the singleton lemma: a singleton child never meets a "many" child,
+        # and two children accepted through the new vertex never meet
+        for (_, kept, dropped), _count in collisions.items():
+            assert "many" not in {kept, dropped} or kept == dropped
+            assert (kept, dropped) != ("new", "new")
+
+    @pytest.mark.parametrize("text", ["H1,P5", "Z2,P6"])
+    def test_singleton_lemma_keeps_free_walk_output(self, text):
+        # the free levels to order 8, each built by the reference from the
+        # reference's level below, against _expand on the same parents
+        patterns = _as_graphs(parse_pattern_set(text))
+        level = [g for g in connected_level(1) if is_free(g, patterns)]
+        for _ in range(2, 9):
+            got, want = [], []
+            for parent in level:
+                got.extend(enumeration._expand(parent, patterns))
+                want.extend(reference_expand(parent, patterns)[0])
+            assert got == want, (text, len(level))
+            level = want
+
     def test_new_vertex_has_top_non_cut_degree(self, levels8):
         # the degree lemma the candidate filter in expand_children rests on
         for n in range(2, 9):
@@ -211,11 +288,16 @@ class TestExpansion:
     def test_last_removable_lies_in_last_meeting_cell(self, levels7):
         # the cell lemma _expand rejects by: on every candidate that passes the
         # degree lemma, the last removable vertex in canonical order lies in the
-        # last cell of the first refinement that meets the removable set
-        checked = 0
+        # last cell of the first refinement that meets the removable set.
+        # The singleton lemma rests on two more facts checked here: when that
+        # cell holds one removable vertex it is vstar, and isomorphic accepted
+        # children of one parent have top & removable of one size
+        checked = singles = 0
         for pn in range(1, 8):
             n = pn + 1
             for parent in levels7[pn]:
+                parent_enc = _canonical_rows(pn, parent.adj)[1]
+                sizes = defaultdict(set)
                 for mask in range(1, 1 << pn):
                     rows = child_rows(parent, mask)
                     d = mask.bit_count()
@@ -225,12 +307,20 @@ class TestExpansion:
                     removable = 1 << pn
                     for v in non_cut:
                         removable |= 1 << v
-                    perm = _canonical_rows(n, rows)[0]
+                    perm, enc, _ = _canonical_rows(n, rows)
                     vstar = next(v for v in reversed(perm) if removable >> v & 1)
                     top = enumeration._last_cell(_refine(rows, [(1 << n) - 1]), removable)
                     assert top >> vstar & 1, (to_graph6(parent), mask)
+                    single = top & removable
+                    if not single & (single - 1):
+                        assert single == 1 << vstar, (to_graph6(parent), mask)
+                        singles += 1
+                    if vstar == pn or _canonical_rows(pn, enumeration._delete_rows(n, rows, vstar))[1] == parent_enc:
+                        sizes[enc].add(single.bit_count())
                     checked += 1
+                assert all(len(s) == 1 for s in sizes.values()), to_graph6(parent)
         assert checked == 26497
+        assert singles == 19846
 
     def test_range_validation(self):
         with pytest.raises(GraphError):
