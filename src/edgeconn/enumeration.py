@@ -55,6 +55,18 @@ automorphism taking one mask onto the other, and only one mask per orbit is
 tried.  So singleton children are labelled only when some sibling was
 accepted through another vertex u, and then all at once, after the loop, and
 filtered in mask order like the rest.
+
+Trace lemma.  Let a parent be free of a pattern p on k vertices.  A child
+whose new vertex z sees ``mask`` contains p exactly when, for some set S of
+k - 1 parent vertices and some vertex x of p, parent[S] is isomorphic to
+p - x by a map taking N_p(x) onto ``mask & S``.  Proof: every copy of p in
+the child uses z, since the parent is free of it; with x the vertex mapped
+to z and S the image of the rest, the copy restricts to such an isomorphism,
+and conversely such an isomorphism extended by x -> z is an induced copy.  So
+the test depends only on the parent and the mask: the sets S and their
+allowed traces ``mask & S`` are listed once per parent, from a table of the
+labelled copies of each p - x (``iso._trace_table``), and each candidate
+costs set lookups instead of a search pinned at z.
 """
 
 from __future__ import annotations
@@ -62,10 +74,11 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable, Iterator
 from functools import partial
+from itertools import combinations
 from multiprocessing import get_context
 
 from .graphs import Graph, GraphError, Graph6Error, component_mask, from_graph6, to_graph6
-from .iso import _as_graphs, _canonical_rows, _find_rows, _refine, is_free
+from .iso import _as_graphs, _canonical_rows, _refine, _trace_table, _upper_key, is_free
 
 MAX_ENUM_ORDER = 9
 
@@ -172,15 +185,46 @@ def _delete_rows(n: int, adj, v: int):
     return rows
 
 
+def _forbidden_traces(pn: int, adj, patterns) -> list[tuple[int, frozenset]]:
+    """The (S, traces) pairs of the trace lemma for a parent free of the patterns.
+
+    A child whose new vertex sees ``mask`` holds a pattern exactly when
+    ``mask & S`` is one of the traces listed for some vertex mask S of the
+    parent (module docstring).  Each S of k - 1 vertices is keyed in
+    ascending label order, as the pattern's table is.  A pattern with more
+    than pn + 1 vertices fits in no child and is skipped.
+    """
+    found: dict[int, set[int]] = {}
+    for p in patterns:
+        k = p.n - 1
+        if k > pn:
+            continue
+        table = _trace_table(p)
+        for sub in combinations(range(pn), k):
+            local = table.get(_upper_key(adj, sub))
+            if local is None:
+                continue
+            s = 0
+            for v in sub:
+                s |= 1 << v
+            traces = found.setdefault(s, set())
+            for t in local:
+                g = 0
+                for i, v in enumerate(sub):
+                    g |= (t >> i & 1) << v
+                traces.add(g)
+    return [(s, frozenset(traces)) for s, traces in found.items()]
+
+
 def _expand(parent: Graph, patterns) -> list[Graph]:
     """Return the accepted one-vertex extensions of one parent, in order.
 
     Children of distinct parents never collide, so concatenating these lists
     over a whole level enumerates the next level exactly once.  With
-    ``patterns`` (graphs; smallest first rejects soonest) the parent must be
-    free of them, and only the free children are returned: any copy of a
-    pattern in a child then uses the new vertex, so the search is pinned
-    there, after the cell test and before canonical labelling.
+    ``patterns`` (graphs) the parent must be free of them, and only the free
+    children are returned: by the trace lemma a candidate is rejected when
+    ``mask & S`` is a listed trace of some parent set S, right after the
+    degree lemma and before the first refinement.
     """
     pn = parent.n
     n = pn + 1
@@ -189,6 +233,7 @@ def _expand(parent: Graph, patterns) -> list[Graph]:
     _, parent_enc, parent_autos = _canonical_rows(pn, padj)
     parent_degs = sorted(r.bit_count() for r in padj)
     cut_table = _cut_table(pn, padj)
+    forbidden = _forbidden_traces(pn, padj, patterns) if patterns else ()
     accepted = []  # (rows, encoding or None when not yet labelled), in mask order
     relabel = False  # some child was accepted through a singleton cell not holding the new vertex
     for mask in _orbit_leaders(pn, parent_autos):
@@ -197,6 +242,8 @@ def _expand(parent: Graph, patterns) -> list[Graph]:
         removable = _removable(pn, rows, cut_table)
         if not removable:
             continue
+        if forbidden and any(mask & s in traces for s, traces in forbidden):
+            continue
         # cell lemma: vstar lies in the last cell of the first refinement that meets removable
         cells = _refine(rows, [(1 << n) - 1])
         top = _last_cell(cells, removable)
@@ -204,8 +251,6 @@ def _expand(parent: Graph, patterns) -> list[Graph]:
             u = (top & -top).bit_length() - 1  # any vertex of an equitable cell gives the same degrees
             if sorted(r.bit_count() for r in _delete_rows(n, rows, u)) != parent_degs:
                 continue
-        if any(_find_rows(n, rows, p, pn) is not None for p in patterns):
-            continue
         single = top & removable
         if single & (single - 1):
             perm, enc, _ = _canonical_rows(n, rows, cells)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
+from types import MappingProxyType
 
 from .graphs import Graph, _bits, induced, is_connected, to_graph6
 
@@ -94,13 +95,25 @@ def _join(orbit, x: int, y: int) -> None:
         orbit[max(x, y)] = min(x, y)
 
 
+def _upper_key(adj, order) -> int:
+    """The upper triangle of the graph relabelled so that label i is vertex
+    ``order[i]``, packed column by column (column j holds its j bits) into
+    one int."""
+    key = 0
+    for j in range(1, len(order)):
+        row = adj[order[j]]
+        for i in range(j):
+            key = key << 1 | (row >> order[i] & 1)
+    return key
+
+
 def _canonical_rows(n: int, adj, cells=None):
     """Return (perm, encoding, automorphisms) for the minimal relabeling.
 
     ``perm[i]`` is the original vertex taking canonical label i.  The
-    encoding packs the relabeled upper triangle, column by column, into one
-    int, so equal encodings at equal n mean isomorphic graphs.  ``cells``,
-    when given, must be ``_refine(adj, [(1 << n) - 1])``, so a caller that
+    encoding is the ``_upper_key`` of the relabeled graph, so equal
+    encodings at equal n mean isomorphic graphs.  ``cells``, when given,
+    must be ``_refine(adj, [(1 << n) - 1])``, so a caller that
     already refined the graph does not refine it again.
 
     The automorphism list is a generating set of the automorphism group
@@ -120,18 +133,10 @@ def _canonical_rows(n: int, adj, cells=None):
     best_perm = None
     autos: list[tuple[int, ...]] = []
 
-    def encode(perm):
-        enc = 0
-        for j in range(1, n):
-            row = adj[perm[j]]
-            for i in range(j):
-                enc = enc << 1 | (row >> perm[i] & 1)
-        return enc
-
     def leaf(cells_):
         nonlocal best_enc, best_perm
         perm = tuple(c.bit_length() - 1 for c in cells_)
-        enc = encode(perm)
+        enc = _upper_key(adj, perm)
         if best_enc is None or enc < best_enc:
             best_enc = enc
             best_perm = perm
@@ -225,6 +230,16 @@ def _unpinned_plan(pattern: Graph):
     return _match_plan(pattern, max(range(pattern.n), key=lambda v: pattern.adj[v].bit_count()))
 
 
+def _orbit_roots(pattern: Graph) -> list[int]:
+    """The least vertex of each orbit of the pattern's automorphism group."""
+    pn = pattern.n
+    orbit = list(range(pn))
+    for a in _canonical_rows(pn, pattern.adj)[2]:
+        for v in range(pn):
+            _join(orbit, v, a[v])
+    return [v for v in range(pn) if orbit[v] == v]
+
+
 @lru_cache(maxsize=256)
 def _pinned_plans(pattern: Graph):
     """The plans of a pinned search, one per start vertex to map to the pin.
@@ -233,12 +248,31 @@ def _pinned_plans(pattern: Graph):
     suffices, since symmetric starts find the same copies.  Kept apart from
     the unpinned plan, which needs no canonical search.
     """
-    pn = pattern.n
-    orbit = list(range(pn))
-    for a in _canonical_rows(pn, pattern.adj)[2]:
-        for v in range(pn):
-            _join(orbit, v, a[v])
-    return tuple(_match_plan(pattern, v) for v in range(pn) if orbit[v] == v)
+    return tuple(_match_plan(pattern, v) for v in _orbit_roots(pattern))
+
+
+@lru_cache(maxsize=256)
+def _trace_table(pattern: Graph) -> MappingProxyType:
+    """The labelled copies of pattern - x, over every vertex x, and the
+    traces that complete each one to the pattern.
+
+    Maps the key (``_upper_key``) of each labelling of pattern - x to the
+    masks T of its k - 1 labels such that adding one vertex adjacent to
+    exactly T gives a graph isomorphic to the pattern.  One x per orbit
+    suffices, since symmetric choices of x give the same copies.  With the
+    trace lemma in ``enumeration`` the table finds the copies through a new
+    vertex that ``find_induced(..., pin=)`` would.
+    """
+    padj = pattern.adj
+    table: dict[int, set[int]] = {}
+    for x in _orbit_roots(pattern):
+        rest = [v for v in range(pattern.n) if v != x]
+        for perm in permutations(rest):
+            trace = 0
+            for i, v in enumerate(perm):
+                trace |= (padj[x] >> v & 1) << i
+            table.setdefault(_upper_key(padj, perm), set()).add(trace)
+    return MappingProxyType({key: frozenset(traces) for key, traces in table.items()})
 
 
 def _extend(adj, degs, steps, image, k, used) -> bool:

@@ -10,6 +10,7 @@ from edgeconn import (
     TARGETS,
     GraphError,
     Graph6Error,
+    are_isomorphic,
     canonical_form,
     characterized_sets,
     complete_graph,
@@ -27,7 +28,7 @@ from edgeconn import (
 )
 from edgeconn import enumeration
 from edgeconn.graphs import Graph, induced, is_connected
-from edgeconn.iso import _as_graphs, _canonical_rows, _find_rows, _refine
+from edgeconn.iso import _as_graphs, _canonical_rows, _find_rows, _refine, _trace_table
 from edgeconn.oracles import connected_class_count_oracle
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -407,6 +408,76 @@ class TestFilterFree:
     def test_oversized_pattern_is_vacuous(self, levels6):
         kept = [g for g in walk(5, complete_graph(7)) if g.n == 5]
         assert len(kept) == len(levels6[5]) == 21
+
+
+class TestTraceLemma:
+    @staticmethod
+    def compare_with_pinned_search(parent, patterns):
+        """The orbit-leader masks of one parent that the trace test rejects,
+        and all of them, counted; on each the pinned search must agree."""
+        pn = parent.n
+        forbidden = enumeration._forbidden_traces(pn, parent.adj, patterns)
+        leaders = enumeration._orbit_leaders(pn, _canonical_rows(pn, parent.adj)[2])
+        rejected = 0
+        for mask in leaders:
+            rows = child_rows(parent, mask)
+            want = any(_find_rows(pn + 1, rows, p, pn) is not None for p in patterns)
+            got = any(mask & s in traces for s, traces in forbidden)
+            assert got == want, (to_graph6(parent), mask)
+            rejected += got
+        return rejected, len(leaders)
+
+    @pytest.mark.parametrize("extra", [None, "P5", "P8"])
+    def test_trace_test_is_the_pinned_search(self, extra):
+        # the characterized sets (14, of which 10 differ), P5 (deleting its
+        # middle vertex leaves 2K2, a disconnected p - x) and P8 (k - 1 > pn
+        # below order 7, so skipped there), each over the free parents of
+        # orders 1..7, the parents walk(8, set) expands
+        if extra is None:
+            sets = {ps.form_key(): _as_graphs(ps) for t in TARGETS for ps in characterized_sets(t)}
+            assert len(sets) == 10
+            cases = list(sets.values())
+        else:
+            cases = [_as_graphs(parse_pattern_set(extra))]
+        for patterns in cases:
+            parents = [g for g in connected_level(1) if is_free(g, patterns)]
+            parents += list(walk(7, patterns))
+            rejected = Counter()
+            for g in parents:
+                rejected[g.n] += self.compare_with_pinned_search(g, patterns)[0]
+            if extra == "P8":
+                assert set(+rejected) == {7}
+            else:
+                assert rejected[7] > 0, [p.n for p in patterns]
+
+    @pytest.mark.parametrize("pattern", [Graph(1, (0,)), complete_graph(2)], ids=["K1", "K2"])
+    def test_trace_test_on_one_and_two_vertex_patterns(self, pattern, levels6):
+        # the lemma's copies through the new vertex need no free parent, so
+        # the keys of K1 - x and K2 - x (no vertex, one vertex) are checked on
+        # every connected parent; both reject every (nonempty) candidate mask
+        for pn in range(1, 6):
+            for parent in levels6[pn]:
+                rejected, tried = self.compare_with_pinned_search(parent, [pattern])
+                assert rejected == tried, to_graph6(parent)
+
+    def test_trace_table_by_brute_force(self, levels6):
+        # for every connected p on k <= 5 vertices, every labelled H on k - 1
+        # vertices and every trace T: (key(H), T) is in the table exactly when
+        # H plus a vertex adjacent to T is isomorphic to p
+        for k in range(1, 6):
+            m = k - 1
+            pairs = [(i, j) for j in range(1, m) for i in range(j)]
+            for p in levels6[k]:
+                table = _trace_table(p)
+                for key in range(1 << len(pairs)):
+                    rows = [0] * m
+                    for q, (i, j) in enumerate(pairs):
+                        if key >> (len(pairs) - 1 - q) & 1:
+                            rows[i] |= 1 << j
+                            rows[j] |= 1 << i
+                    for trace in range(1 << m):
+                        g = Graph(k, child_rows(Graph(m, rows), trace))
+                        assert (trace in table.get(key, ())) == are_isomorphic(g, p), (to_graph6(p), key, trace)
 
 
 class TestWalk:
