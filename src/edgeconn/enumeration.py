@@ -67,6 +67,18 @@ the test depends only on the parent and the mask: the sets S and their
 allowed traces ``mask & S`` are listed once per parent, from a table of the
 labelled copies of each p - x (``iso._trace_table``), and each candidate
 costs set lookups instead of a search pinned at z.
+
+Floor lemma.  Let ``floor`` be the largest degree of a non-cut vertex of the
+parent.  A candidate whose mask has d vertices, with 2 <= d < floor, is
+rejected by the degree lemma.  Proof: take a non-cut parent vertex v of
+degree floor.  The mask has at least two vertices, so it meets parent - v,
+which is connected; in child - v the new vertex joins that connected graph,
+so v is a non-cut vertex of the child too.  Its child degree is at least
+floor > d, the new vertex's degree.  A mask of one vertex is exempt (it may
+be v itself, and then v is a cut vertex of the child), and goes through the
+normal test.  Automorphisms preserve a mask's size, so the masks the lemma
+rejects fill whole orbits and are dropped before orbits are formed
+(``_orbit_leaders``): they get no child rows and no ``_removable`` call.
 """
 
 from __future__ import annotations
@@ -118,12 +130,20 @@ def _cut_table(n: int, adj) -> list[tuple[int, ...]]:
     return table
 
 
-def _orbit_leaders(n: int, autos) -> list[int]:
+def _orbit_leaders(n: int, autos, floor: int = 0) -> list[int]:
     """The nonzero vertex masks that are least in their orbit under the group
-    the automorphisms generate, ascending."""
+    the automorphisms generate, ascending.
+
+    Only masks of one vertex or of at least ``floor`` vertices are listed (the
+    floor lemma); automorphisms keep a mask's size, so this drops whole orbits
+    and leaves the other leaders as they are.  The default lists them all.
+    """
     size = 1 << n
+    masks = range(1, size)
+    if floor > 2:
+        masks = [m for m in masks if not m & (m - 1) or m.bit_count() >= floor]
     if not autos:
-        return list(range(1, size))
+        return list(masks)
     images = []
     for a in autos:
         img = [0] * size
@@ -133,7 +153,7 @@ def _orbit_leaders(n: int, autos) -> list[int]:
         images.append(img)
     seen = bytearray(size)
     leaders = []
-    for mask in range(1, size):
+    for mask in masks:
         if seen[mask]:
             continue
         leaders.append(mask)
@@ -216,27 +236,37 @@ def _forbidden_traces(pn: int, adj, patterns) -> list[tuple[int, frozenset]]:
     return [(s, frozenset(traces)) for s, traces in found.items()]
 
 
-def _expand(parent: Graph, patterns) -> list[Graph]:
-    """Return the accepted one-vertex extensions of one parent, in order.
+def _expand(parent: Graph, patterns, label=None) -> list[tuple[Graph, tuple | None]]:
+    """Return the accepted one-vertex extensions of one parent, in order, each
+    paired with its label.
 
     Children of distinct parents never collide, so concatenating these lists
     over a whole level enumerates the next level exactly once.  With
     ``patterns`` (graphs) the parent must be free of them, and only the free
     children are returned: by the trace lemma a candidate is rejected when
     ``mask & S`` is a listed trace of some parent set S, right after the
-    degree lemma and before the first refinement.
+    degree lemma and before the first refinement.  Masks below the floor
+    lemma's bound are never built.
+
+    A child's label is ``_canonical_rows(n, child.adj)[1:]``, the encoding and
+    automorphism generators, with the generators as a tuple, when the child
+    was canonically labelled here, and None when the singleton lemma accepted
+    it unlabelled.  ``label``, when given, is the parent's label, and saves
+    labelling the parent again: a child's rows are the rows it is expanded
+    from, so the label is the one a fresh call would compute.
     """
     pn = parent.n
     n = pn + 1
     new = 1 << pn
     padj = parent.adj
-    _, parent_enc, parent_autos = _canonical_rows(pn, padj)
+    parent_enc, parent_autos = _canonical_rows(pn, padj)[1:] if label is None else label
     parent_degs = sorted(r.bit_count() for r in padj)
     cut_table = _cut_table(pn, padj)
+    floor = max(padj[v].bit_count() for v in range(pn) if len(cut_table[v]) < 2)
     forbidden = _forbidden_traces(pn, padj, patterns) if patterns else ()
-    accepted = []  # (rows, encoding or None when not yet labelled), in mask order
+    accepted = []  # (rows, label or None when not yet labelled), in mask order
     relabel = False  # some child was accepted through a singleton cell not holding the new vertex
-    for mask in _orbit_leaders(pn, parent_autos):
+    for mask in _orbit_leaders(pn, parent_autos, floor):
         rows = [padj[v] | new if mask >> v & 1 else padj[v] for v in range(pn)]
         rows.append(mask)
         removable = _removable(pn, rows, cut_table)
@@ -253,25 +283,30 @@ def _expand(parent: Graph, patterns) -> list[Graph]:
                 continue
         single = top & removable
         if single & (single - 1):
-            perm, enc, _ = _canonical_rows(n, rows, cells)
+            perm, enc, autos = _canonical_rows(n, rows, cells)
+            child_label = enc, tuple(autos)
             vstar = next(v for v in reversed(perm) if removable >> v & 1)
         else:
             # singleton lemma: the cell names vstar, and the child needs no labelling yet
-            enc = None
+            child_label = None
             vstar = single.bit_length() - 1
         if vstar != pn:
             if _canonical_rows(pn, _delete_rows(n, rows, vstar))[1] != parent_enc:
                 continue
-            relabel |= enc is None
-        accepted.append((rows, enc))
+            relabel |= child_label is None
+        accepted.append((rows, child_label))
     if relabel:
-        accepted = [(rows, _canonical_rows(n, rows)[1] if enc is None else enc) for rows, enc in accepted]
+        for i, (rows, lab) in enumerate(accepted):
+            if lab is None:
+                _, enc, autos = _canonical_rows(n, rows)
+                accepted[i] = rows, (enc, tuple(autos))
     out = []
     seen_encs = set()
-    for rows, enc in accepted:
+    for rows, lab in accepted:
+        enc = None if lab is None else lab[0]
         if enc is None or enc not in seen_encs:
             seen_encs.add(enc)
-            out.append(Graph(n, rows))
+            out.append((Graph(n, rows), lab))
     return out
 
 
@@ -279,17 +314,26 @@ def expand_children(parent: Graph) -> list[Graph]:
     """Return the accepted one-vertex extensions of one parent, in order.
 
     The entry for full levels, kept apart from the pattern walk's calls to
-    ``_expand`` so a caller can wrap it on its own.
+    ``_expand`` so a caller can wrap it on its own.  Full levels hold graphs
+    only, so the children's labels are dropped.
     """
-    return _expand(parent, ())
+    return [g for g, _ in _expand(parent, ())]
 
 
-def _expand_all(parents, patterns) -> list[Graph]:
-    """The children of each parent in turn, concatenated."""
-    out: list[Graph] = []
-    for parent in parents:
-        # full levels go through expand_children, the entry a caller can wrap alone
-        out.extend(_expand(parent, patterns) if patterns else expand_children(parent))
+def _expand_all(parents, patterns) -> list:
+    """The children of each parent in turn, concatenated.
+
+    On a full level (``patterns`` None) they are graphs; on a free walk they
+    are (graph, label) pairs, as ``_expand`` returns them.
+    """
+    out: list = []
+    if patterns is None:
+        for parent in parents:
+            # full levels go through expand_children, the entry a caller can wrap alone
+            out.extend(expand_children(parent))
+    else:
+        for parent, label in parents:
+            out.extend(_expand(parent, patterns, label))
     return out
 
 
@@ -300,8 +344,11 @@ def _pool_size(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _next_level(parents, patterns, workers: int) -> list[Graph]:
+def _next_level(parents, patterns, workers: int) -> list:
     """Expand every parent and concatenate the children, in parent order.
+
+    The parents and children are graphs on a full level (``patterns`` None)
+    and (graph, label) pairs on a free walk (``_expand_all``).
 
     With ``workers`` above 1 and at least 64 parents, ordered slices of the
     parent list go to a pool of that many processes, so the merged result is
@@ -329,7 +376,7 @@ def connected_level(n: int, workers: int = 1) -> tuple[Graph, ...]:
         raise GraphError(f"enumeration supports 1 <= n <= {MAX_ENUM_ORDER}, got {n}")
     workers = _pool_size(workers)
     if n not in _levels:
-        _levels[n] = tuple(_next_level(connected_level(n - 1, workers), (), workers))
+        _levels[n] = tuple(_next_level(connected_level(n - 1, workers), None, workers))
     return _levels[n]
 
 
@@ -340,7 +387,10 @@ def walk(n_max: int, patterns=None, workers: int = 1) -> Iterator[Graph]:
     pattern are kept.  Freeness is hereditary and a child's parent is an
     induced subgraph of it, so such a walk expands only the free graphs of
     each order, holds one free level at a time and never builds or caches a
-    full level.  Every exhaustive scan goes through this one walk.  The
+    full level.  A free level holds each graph with its label (``_expand``),
+    so a child labelled when it was accepted is expanded without being
+    labelled again; the walk yields the graphs alone.  Every exhaustive scan
+    goes through this one walk.  The
     order bound and the worker count are checked here, when the walk is
     made, not on its first step.
     """
@@ -353,10 +403,10 @@ def walk(n_max: int, patterns=None, workers: int = 1) -> Iterator[Graph]:
 
 
 def _free_walk(n_max: int, patterns, workers: int) -> Iterator[Graph]:
-    level = [g for g in connected_level(1) if is_free(g, patterns)]
+    level = [(g, None) for g in connected_level(1) if is_free(g, patterns)]
     for _ in range(2, n_max + 1):
         level = _next_level(level, patterns, workers)
-        yield from level
+        yield from (g for g, _ in level)
 
 
 def read_graph6_stream(path) -> Iterator[Graph]:

@@ -74,10 +74,12 @@ def reference_expand(parent, patterns=()):
     """``enumeration._expand`` with every surviving candidate canonically
     labelled: the acceptance step as it was before the singleton lemma.
 
-    Returns the accepted children, filtered by encoding in mask order, and
-    one (kind of the kept child, kind of the dropped one) pair per sibling
-    collision.  A child's kind is "new" or "other" when ``top & removable``
-    is the new vertex or another single vertex, and "many" otherwise.
+    It tries every orbit leader, with no floor, so it does not rest on the
+    floor lemma either.  Returns the accepted children, filtered by encoding
+    in mask order, and one (kind of the kept child, kind of the dropped one)
+    pair per sibling collision.  A child's kind is "new" or "other" when
+    ``top & removable`` is the new vertex or another single vertex, and
+    "many" otherwise.
     """
     pn = parent.n
     n = pn + 1
@@ -221,7 +223,7 @@ class TestExpansion:
         for pn in range(1, 8):
             for parent in levels7[pn]:
                 want, met = reference_expand(parent)
-                assert enumeration._expand(parent, ()) == want, to_graph6(parent)
+                assert [g for g, _ in enumeration._expand(parent, ())] == want, to_graph6(parent)
                 collisions.update((pn + 1, kept, dropped) for kept, dropped in met)
         # the lazily labelled branch is needed: a child accepted through the
         # new vertex duplicates one accepted through another vertex
@@ -241,7 +243,7 @@ class TestExpansion:
         for _ in range(2, 9):
             got, want = [], []
             for parent in level:
-                got.extend(enumeration._expand(parent, patterns))
+                got.extend(g for g, _ in enumeration._expand(parent, patterns))
                 want.extend(reference_expand(parent, patterns)[0])
             assert got == want, (text, len(level))
             level = want
@@ -408,6 +410,63 @@ class TestFilterFree:
     def test_oversized_pattern_is_vacuous(self, levels6):
         kept = [g for g in walk(5, complete_graph(7)) if g.n == 5]
         assert len(kept) == len(levels6[5]) == 21
+
+
+def non_cut_floor(parent):
+    """The largest degree of a non-cut vertex of a connected graph, by direct
+    test; the one vertex of a 1-vertex graph (degree 0) counts as non-cut."""
+    return max((parent.adj[v].bit_count() for v in brute_non_cut(parent)), default=0)
+
+
+class TestFloorLemma:
+    def test_masks_below_floor_are_rejected(self, levels7):
+        # every mask of 2..floor - 1 vertices fails the degree lemma, so
+        # _expand may drop it before building its child rows
+        below = 0
+        for pn in range(1, 8):
+            for parent in levels7[pn]:
+                floor = non_cut_floor(parent)
+                cut_table = enumeration._cut_table(pn, parent.adj)
+                for mask in range(1, 1 << pn):
+                    if 2 <= mask.bit_count() < floor:
+                        assert enumeration._removable(pn, child_rows(parent, mask), cut_table) == 0, (
+                            to_graph6(parent), mask)
+                        below += 1
+        assert below > 0
+
+    def test_floored_leaders_are_the_leaders_filtered(self, levels7):
+        # automorphisms keep a mask's size, so the floor drops whole orbits
+        # and keeps the other leaders, in order; every floor a parent can
+        # have (0..pn) is tried
+        for pn in range(1, 8):
+            for parent in levels7[pn]:
+                autos = _canonical_rows(pn, parent.adj)[2]
+                leaders = enumeration._orbit_leaders(pn, autos)
+                for floor in range(pn + 1):
+                    want = [m for m in leaders if m.bit_count() == 1 or m.bit_count() >= floor]
+                    assert enumeration._orbit_leaders(pn, autos, floor) == want, (to_graph6(parent), floor)
+
+
+class TestLabelCarry:
+    def test_carried_labels_are_fresh_labels(self):
+        # a free walk's level holds (graph, label) pairs; every label _expand
+        # carries must be the one labelling the graph afresh gives, since the
+        # next order expands the graph from it
+        sets = {ps.form_key(): _as_graphs(ps) for t in TARGETS for ps in characterized_sets(t)}
+        assert len(sets) == 10
+        carried = Counter()
+        for patterns in sets.values():
+            level = [(g, None) for g in connected_level(1) if is_free(g, patterns)]
+            for _ in range(2, 9):
+                level = enumeration._next_level(level, patterns, 1)
+                for g, label in level:
+                    if label is not None:
+                        _, enc, autos = _canonical_rows(g.n, g.adj)
+                        assert label == (enc, tuple(autos)), to_graph6(g)
+                        carried[g.n] += 1
+        # labels are carried at every order from 3, where children first
+        # need labelling, so parents of orders 3..7 are expanded with them
+        assert all(carried[n] > 0 for n in range(3, 9)), carried
 
 
 class TestTraceLemma:
