@@ -169,18 +169,20 @@ def _orbit_leaders(n: int, autos, floor: int = 0) -> list[int]:
     return leaders
 
 
-def _removable(pn: int, rows, cut_table) -> int:
-    """The removable vertices of a child as a mask, the new vertex pn included.
+def _removable(pn: int, degs, mask: int, cut_table) -> int:
+    """The removable vertices of the child whose new vertex pn sees ``mask``,
+    as a mask, pn included.
 
-    By the degree lemma only vertices of degree at least the new vertex's
-    count, and 0 comes back when one of them outranks it; the cut table
-    decides which are non-cut (module docstring).
+    ``degs`` are the parent's degrees; a parent vertex gains one in the
+    child when ``mask`` holds it, so no child rows are needed.  By the
+    degree lemma only vertices of degree at least the new vertex's count,
+    and 0 comes back when one of them outranks it; the cut table decides
+    which are non-cut (module docstring).
     """
-    mask = rows[pn]
     d = mask.bit_count()
     removable = 1 << pn
     for v in range(pn):
-        dv = rows[v].bit_count()
+        dv = degs[v] + (mask >> v & 1)
         if dv >= d and all(mask & comp for comp in cut_table[v]):
             if dv > d:
                 return 0
@@ -245,8 +247,9 @@ def _expand(parent: Graph, patterns, label=None) -> list[tuple[Graph, tuple | No
     ``patterns`` (graphs) the parent must be free of them, and only the free
     children are returned: by the trace lemma a candidate is rejected when
     ``mask & S`` is a listed trace of some parent set S, right after the
-    degree lemma and before the first refinement.  Masks below the floor
-    lemma's bound are never built.
+    degree lemma and before the first refinement.  Both tests read only the
+    parent and the mask, so a candidate's child rows are built only once it
+    passes them.  Masks below the floor lemma's bound are never tried.
 
     A child's label is ``_canonical_rows(n, child.adj)[1:]``, the encoding and
     automorphism generators, with the generators as a tuple, when the child
@@ -260,20 +263,21 @@ def _expand(parent: Graph, patterns, label=None) -> list[tuple[Graph, tuple | No
     new = 1 << pn
     padj = parent.adj
     parent_enc, parent_autos = _canonical_rows(pn, padj)[1:] if label is None else label
-    parent_degs = sorted(r.bit_count() for r in padj)
+    degs = [r.bit_count() for r in padj]
+    parent_degs = sorted(degs)
     cut_table = _cut_table(pn, padj)
-    floor = max(padj[v].bit_count() for v in range(pn) if len(cut_table[v]) < 2)
+    floor = max(degs[v] for v in range(pn) if len(cut_table[v]) < 2)
     forbidden = _forbidden_traces(pn, padj, patterns) if patterns else ()
     accepted = []  # (rows, label or None when not yet labelled), in mask order
     relabel = False  # some child was accepted through a singleton cell not holding the new vertex
     for mask in _orbit_leaders(pn, parent_autos, floor):
-        rows = [padj[v] | new if mask >> v & 1 else padj[v] for v in range(pn)]
-        rows.append(mask)
-        removable = _removable(pn, rows, cut_table)
+        removable = _removable(pn, degs, mask, cut_table)
         if not removable:
             continue
         if forbidden and any(mask & s in traces for s, traces in forbidden):
             continue
+        rows = [padj[v] | new if mask >> v & 1 else padj[v] for v in range(pn)]
+        rows.append(mask)
         # cell lemma: vstar lies in the last cell of the first refinement that meets removable
         cells = _refine(rows, [(1 << n) - 1])
         top = _last_cell(cells, removable)

@@ -124,6 +124,25 @@ def _canonical_rows(n: int, adj, cells=None):
     of an explored one, so it holds no leaf that is new or earlier, and the
     first least leaf, hence ``perm`` and the encoding, do not depend on the
     pruning (McKay and Piperno, J. Symbolic Comput. 60, 2014).
+
+    Twin lemma.  Call u and v twins when N(u) - v = N(v) - u.  Then the
+    transposition (u v) is an automorphism: it fixes every edge missing
+    both, keeps the pair uv, and takes an edge ux (x != v) to vx, an edge
+    since x lies in N(u) - v = N(v) - u, and back.  The first refinement
+    depends only on the isomorphism type, so every automorphism maps each
+    of its cells onto itself, and twins share a cell.  So before the search
+    each member of a cell is swapped with its next twin in that cell (a
+    twin class {a, b, c} gives (a b) and (b c)), and these transpositions
+    seed the automorphism list.  The pruning above holds for any true
+    automorphisms, so the seeds leave ``perm`` and the encoding unchanged.
+    The returned list still generates the whole group: each skipped
+    subtree is an image, under the list's group H, of an explored one, so
+    by induction every least leaf of the unpruned tree is an H-image of a
+    visited least leaf, and each visited one is the kept leaf or is mapped
+    onto it by a listed automorphism.  H is then transitive on the least
+    leaves, on which the automorphism group acts regularly (two leaves with
+    one encoding differ by exactly one automorphism), so H is the whole
+    group.
     """
     if n == 0:
         return (), 0, []
@@ -132,6 +151,16 @@ def _canonical_rows(n: int, adj, cells=None):
     best_enc = None
     best_perm = None
     autos: list[tuple[int, ...]] = []
+    for cell in cells:
+        if cell & (cell - 1):
+            members = list(_bits(cell))
+            for i, u in enumerate(members):
+                for v in members[i + 1:]:
+                    if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                        swap = list(range(n))
+                        swap[u], swap[v] = v, u
+                        autos.append(tuple(swap))
+                        break
 
     def leaf(cells_):
         nonlocal best_enc, best_perm

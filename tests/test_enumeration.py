@@ -85,12 +85,13 @@ def reference_expand(parent, patterns=()):
     n = pn + 1
     new = 1 << pn
     _, parent_enc, parent_autos = _canonical_rows(pn, parent.adj)
-    parent_degs = sorted(r.bit_count() for r in parent.adj)
+    degs = [r.bit_count() for r in parent.adj]
+    parent_degs = sorted(degs)
     cut_table = enumeration._cut_table(pn, parent.adj)
     out, kinds, collisions = [], {}, []
     for mask in enumeration._orbit_leaders(pn, parent_autos):
         rows = child_rows(parent, mask)
-        removable = enumeration._removable(pn, rows, cut_table)
+        removable = enumeration._removable(pn, degs, mask, cut_table)
         if not removable:
             continue
         cells = _refine(rows, [(1 << n) - 1])
@@ -426,10 +427,11 @@ class TestFloorLemma:
         for pn in range(1, 8):
             for parent in levels7[pn]:
                 floor = non_cut_floor(parent)
+                degs = [r.bit_count() for r in parent.adj]
                 cut_table = enumeration._cut_table(pn, parent.adj)
                 for mask in range(1, 1 << pn):
                     if 2 <= mask.bit_count() < floor:
-                        assert enumeration._removable(pn, child_rows(parent, mask), cut_table) == 0, (
+                        assert enumeration._removable(pn, degs, mask, cut_table) == 0, (
                             to_graph6(parent), mask)
                         below += 1
         assert below > 0

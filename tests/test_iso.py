@@ -41,6 +41,7 @@ from edgeconn import (
     triangle_with_tail,
     walk,
 )
+from edgeconn.enumeration import _orbit_leaders
 from edgeconn.graphs import _bits
 from edgeconn.iso import _canonical_rows, _find, _join, _refine, relabel
 from edgeconn.oracles import contains_induced_oracle
@@ -92,12 +93,35 @@ def orbit_partition(n, autos):
     return [_find(orbit, v) for v in range(n)]
 
 
+def brute_automorphisms(g):
+    """Every automorphism of g, by testing every permutation."""
+    return [p for p in itertools.permutations(range(g.n))
+            if all(g.has_edge(p[u], p[v]) == g.has_edge(u, v)
+                   for u, v in itertools.combinations(range(g.n), 2))]
+
+
 def brute_orbits(g):
     """The automorphism orbits of g, by testing every permutation."""
-    autos = [p for p in itertools.permutations(range(g.n))
-             if all(g.has_edge(p[u], p[v]) == g.has_edge(u, v)
-                    for u, v in itertools.combinations(range(g.n), 2))]
-    return orbit_partition(g.n, autos)
+    return orbit_partition(g.n, brute_automorphisms(g))
+
+
+def group_closure(n, gens):
+    """Every permutation the generators give, the identity included."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        p = todo.pop()
+        for a in gens:
+            q = tuple(a[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group
+
+
+def is_automorphism(g, a):
+    """Whether the permutation maps each vertex's neighbourhood onto its image's."""
+    return all(sum(1 << a[u] for u in _bits(g.adj[v])) == g.adj[a[v]] for v in range(g.n))
 
 
 class TestCanonicalIdentity:
@@ -123,6 +147,26 @@ class TestCanonicalIdentity:
                 for h in (g, Graph(n, [full ^ 1 << v ^ r for v, r in enumerate(g.adj)])):
                     got = orbit_partition(n, _canonical_rows(n, h.adj)[2])
                     assert got == brute_orbits(h), to_graph6(h)
+
+    def test_seeded_generators_give_the_whole_group(self):
+        # the twin transpositions seeded before the search, with the
+        # automorphisms it finds, generate the whole group, so the mask
+        # orbits the generator expands by are the true ones
+        for n in range(1, 7):
+            full = (1 << n) - 1
+            for g in connected_level(n):
+                for h in (g, Graph(n, [full ^ 1 << v ^ r for v, r in enumerate(g.adj)])):
+                    autos = _canonical_rows(n, h.adj)[2]
+                    brute = brute_automorphisms(h)
+                    assert len(group_closure(n, autos)) == len(brute), to_graph6(h)
+                    least = {min(sum(1 << a[v] for v in _bits(mask)) for a in brute)
+                             for mask in range(1, 1 << n)}
+                    assert _orbit_leaders(n, autos) == sorted(least), to_graph6(h)
+
+    def test_generators_are_automorphisms(self):
+        for g in walk(7):
+            for a in _canonical_rows(g.n, g.adj)[2]:
+                assert is_automorphism(g, a), (to_graph6(g), a)
 
 
 def petersen_graph() -> Graph:
