@@ -66,7 +66,7 @@ and conversely such an isomorphism extended by x -> z is an induced copy.  So
 the test depends only on the parent and the mask: the sets S and their
 allowed traces ``mask & S`` are listed once per parent, from a table of the
 labelled copies of each p - x (``iso._trace_table``), and each candidate
-costs set lookups instead of a search pinned at z.
+costs set lookups instead of an induced-subgraph search of the child.
 
 Floor lemma.  Let ``floor`` be the largest degree of a non-cut vertex of the
 parent.  A candidate whose mask has d vertices, with 2 <= d < floor, is

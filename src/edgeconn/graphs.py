@@ -90,9 +90,6 @@ class Graph:
             out.extend((u, v) for v in _bits(row))
         return out
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(_bits(self.adj[v]))
-
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on n vertices from an edge list."""

@@ -3,8 +3,7 @@
 ``canonical_form`` gives equal strings exactly for isomorphic graphs, which
 backs both the enumerator's duplicate rejection and pattern-set bookkeeping.
 ``contains_induced`` is an exact backtracking search over injective maps that
-preserve adjacency and non-adjacency; ``find_induced`` can pin the search to
-copies through one host vertex.
+preserve adjacency and non-adjacency; ``find_induced`` returns the map it finds.
 """
 
 from __future__ import annotations
@@ -227,18 +226,20 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # induced-subgraph search
 
-def _match_plan(pattern: Graph, start: int):
-    """The search plan of a pattern from one start vertex.
+@lru_cache(maxsize=256)
+def _match_plan(pattern: Graph):
+    """The search plan of a pattern.
 
     One step per pattern vertex, in search order, each ``(vertex, neighbour
     steps, non-neighbour steps, degree)``: the earlier steps the vertex must
     be adjacent and non-adjacent to, and its degree, a lower bound on its
-    image's.  Each vertex is placed next to one already placed, preferring
-    the most placed neighbours, then the higher degree.
+    image's.  The search starts at a vertex of top degree and places each
+    next vertex beside one already placed, preferring the most placed
+    neighbours, then the higher degree.
     """
     padj = pattern.adj
-    order = [start]
-    placed = 1 << start
+    order = [max(range(pattern.n), key=lambda v: padj[v].bit_count())]
+    placed = 1 << order[0]
     while len(order) < pattern.n:
         cand = [v for v in range(pattern.n) if not placed >> v & 1]
         v = max(cand, key=lambda u: ((padj[u] & placed).bit_count(), padj[u].bit_count()))
@@ -253,12 +254,6 @@ def _match_plan(pattern: Graph, start: int):
     )
 
 
-@lru_cache(maxsize=256)
-def _unpinned_plan(pattern: Graph):
-    """The plan of an unpinned search: it starts at a vertex of top degree."""
-    return _match_plan(pattern, max(range(pattern.n), key=lambda v: pattern.adj[v].bit_count()))
-
-
 def _orbit_roots(pattern: Graph) -> list[int]:
     """The least vertex of each orbit of the pattern's automorphism group."""
     pn = pattern.n
@@ -270,17 +265,6 @@ def _orbit_roots(pattern: Graph) -> list[int]:
 
 
 @lru_cache(maxsize=256)
-def _pinned_plans(pattern: Graph):
-    """The plans of a pinned search, one per start vertex to map to the pin.
-
-    One start per orbit of the automorphisms the canonical search finds
-    suffices, since symmetric starts find the same copies.  Kept apart from
-    the unpinned plan, which needs no canonical search.
-    """
-    return tuple(_match_plan(pattern, v) for v in _orbit_roots(pattern))
-
-
-@lru_cache(maxsize=256)
 def _trace_table(pattern: Graph) -> MappingProxyType:
     """The labelled copies of pattern - x, over every vertex x, and the
     traces that complete each one to the pattern.
@@ -289,8 +273,8 @@ def _trace_table(pattern: Graph) -> MappingProxyType:
     masks T of its k - 1 labels such that adding one vertex adjacent to
     exactly T gives a graph isomorphic to the pattern.  One x per orbit
     suffices, since symmetric choices of x give the same copies.  With the
-    trace lemma in ``enumeration`` the table finds the copies through a new
-    vertex that ``find_induced(..., pin=)`` would.
+    trace lemma in ``enumeration`` the table finds the copies of the pattern
+    that use a new vertex.
     """
     padj = pattern.adj
     table: dict[int, set[int]] = {}
@@ -326,42 +310,25 @@ def _extend(adj, degs, steps, image, k, used) -> bool:
     return False
 
 
-def _find_rows(n: int, adj, pattern: Graph, pin=None):
-    """Rows-level induced search; see find_induced."""
+def find_induced(host: Graph, pattern: Graph):
+    """Return one induced embedding as a tuple (pattern vertex i -> host
+    vertex), or None.  The pattern must be connected."""
     pn = pattern.n
     if pn == 0:
         return ()
+    adj = host.adj
     degs = [r.bit_count() for r in adj]
-    if pn > n or 2 * pattern.m > sum(degs):
+    if pn > host.n or 2 * pattern.m > sum(degs):
         return None
+    steps = _match_plan(pattern)
     image = [0] * pn
-    outside = ~((1 << n) - 1)  # counted as used, so candidates stay among the host's vertices
-    if pin is None:
-        steps = _unpinned_plan(pattern)
-        found = _extend(adj, degs, steps, image, 0, outside)
-    else:
-        found = False
-        for steps in _pinned_plans(pattern):
-            if degs[pin] >= steps[0][3]:
-                image[0] = pin
-                if _extend(adj, degs, steps, image, 1, outside | 1 << pin):
-                    found = True
-                    break
-    if not found:
+    # the vertices past the host's count as used, so candidates stay among the host's
+    if not _extend(adj, degs, steps, image, 0, ~((1 << host.n) - 1)):
         return None
     out = [0] * pn
     for k, step in enumerate(steps):
         out[step[0]] = image[k]
     return tuple(out)
-
-
-def find_induced(host: Graph, pattern: Graph, pin=None):
-    """Return one induced embedding as a tuple (pattern vertex i -> host
-    vertex), or None.  The pattern must be connected.  With ``pin`` given,
-    only embeddings whose image contains host vertex ``pin`` count."""
-    if pin is not None and not 0 <= pin < host.n:
-        raise ValueError(f"pin must be a vertex of the host, got {pin}")
-    return _find_rows(host.n, host.adj, pattern, pin)
 
 
 def contains_induced(host: Graph, pattern: Graph) -> bool:

@@ -28,7 +28,7 @@ from edgeconn import (
 )
 from edgeconn import enumeration
 from edgeconn.graphs import Graph, induced, is_connected
-from edgeconn.iso import _as_graphs, _canonical_rows, _find_rows, _refine, _trace_table
+from edgeconn.iso import _as_graphs, _canonical_rows, _refine, _trace_table
 from edgeconn.oracles import connected_class_count_oracle
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -100,7 +100,7 @@ def reference_expand(parent, patterns=()):
             u = (top & -top).bit_length() - 1
             if sorted(r.bit_count() for r in enumeration._delete_rows(n, rows, u)) != parent_degs:
                 continue
-        if any(_find_rows(n, rows, p, pn) is not None for p in patterns):
+        if not is_free(Graph(n, rows), patterns):
             continue
         perm, enc, _ = _canonical_rows(n, rows, cells)
         vstar = next(v for v in reversed(perm) if removable >> v & 1)
@@ -473,23 +473,24 @@ class TestLabelCarry:
 
 class TestTraceLemma:
     @staticmethod
-    def compare_with_pinned_search(parent, patterns):
+    def compare_with_child_search(parent, patterns):
         """The orbit-leader masks of one parent that the trace test rejects,
-        and all of them, counted; on each the pinned search must agree."""
+        and all of them, counted; on each the induced-subgraph search of the
+        child must agree."""
         pn = parent.n
         forbidden = enumeration._forbidden_traces(pn, parent.adj, patterns)
         leaders = enumeration._orbit_leaders(pn, _canonical_rows(pn, parent.adj)[2])
         rejected = 0
         for mask in leaders:
             rows = child_rows(parent, mask)
-            want = any(_find_rows(pn + 1, rows, p, pn) is not None for p in patterns)
+            want = not is_free(Graph(pn + 1, rows), patterns)
             got = any(mask & s in traces for s, traces in forbidden)
             assert got == want, (to_graph6(parent), mask)
             rejected += got
         return rejected, len(leaders)
 
     @pytest.mark.parametrize("extra", [None, "P5", "P8"])
-    def test_trace_test_is_the_pinned_search(self, extra):
+    def test_trace_test_is_the_child_search(self, extra):
         # the characterized sets (14, of which 10 differ), P5 (deleting its
         # middle vertex leaves 2K2, a disconnected p - x) and P8 (k - 1 > pn
         # below order 7, so skipped there), each over the free parents of
@@ -505,7 +506,7 @@ class TestTraceLemma:
             parents += list(walk(7, patterns))
             rejected = Counter()
             for g in parents:
-                rejected[g.n] += self.compare_with_pinned_search(g, patterns)[0]
+                rejected[g.n] += self.compare_with_child_search(g, patterns)[0]
             if extra == "P8":
                 assert set(+rejected) == {7}
             else:
@@ -515,10 +516,11 @@ class TestTraceLemma:
     def test_trace_test_on_one_and_two_vertex_patterns(self, pattern, levels6):
         # the lemma's copies through the new vertex need no free parent, so
         # the keys of K1 - x and K2 - x (no vertex, one vertex) are checked on
-        # every connected parent; both reject every (nonempty) candidate mask
+        # every connected parent; the trace test and the search of the child
+        # both reject every (nonempty) candidate mask
         for pn in range(1, 6):
             for parent in levels6[pn]:
-                rejected, tried = self.compare_with_pinned_search(parent, [pattern])
+                rejected, tried = self.compare_with_child_search(parent, [pattern])
                 assert rejected == tried, to_graph6(parent)
 
     def test_trace_table_by_brute_force(self, levels6):
