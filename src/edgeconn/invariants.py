@@ -11,7 +11,14 @@ family of nonadjacent pairs, each flow capped at the best value so far (the
 minimum degree delta to begin with), and stops once that value reaches
 max(1, 2 delta + 2 - n): the smallest component C of G minus a minimum cut
 has |C| <= (n - kappa) / 2 and a vertex of degree at most |C| - 1 + kappa,
-so kappa >= 2 delta + 2 - n on every connected non-complete graph.  The
+so kappa >= 2 delta + 2 - n on every connected non-complete graph.
+Every flow starts from its common-neighbour paths: s -> w -> t for each w in
+N(s) & N(t), plus the edge s-t itself on the edge network.  They are
+disjoint, so they are a valid flow, and a flow whose common neighbours
+already reach its cap is not run at all.  Augmenting from any valid flow
+reaches a maximum flow, and the residual reach of a maximum flow is the
+source side of the least minimum cut, the same for every maximum flow; so
+seeding changes no value, no cut side and no certificate.  The
 clique number is a bitset branch and bound in plain vertex order, and
 chordality is simplicial elimination.  All are cheap at the orders this
 package scans (n well under a hundred).
@@ -39,21 +46,31 @@ def max_degree(g: Graph) -> int:
     return max(row.bit_count() for row in g.adj)
 
 
-def _unit_flow(arc, s: int, t: int, cap: int) -> tuple[int, int]:
+def _unit_flow(arc, s: int, t: int, cap: int, paths=()) -> tuple[int, int]:
     """Unit-capacity max flow s->t on an arc-mask network, up to ``cap``.
 
     ``arc[a]`` bit b is an arc a -> b of capacity one.  Returns (value,
-    reach).  Augmenting stops once value reaches ``cap``, so a value below
-    ``cap`` is the maximum flow, and only then does ``reach`` mean anything:
-    it is the mask the last search reached when it failed to find t, the
-    source side of the least minimum s-t cut (the same for every maximum
-    flow).  ``free[a]`` holds a's arcs that carry no flow and ``back[a]`` the
-    tails of the units flowing into a; a search grows over both.
+    reach).  The flow starts from ``paths``, arc-disjoint s-t paths each
+    given as its node sequence after s, and augments from there.  Augmenting
+    stops once value reaches ``cap``, so a value below ``cap`` is the
+    maximum flow, and only then does ``reach`` mean anything: it is the mask
+    the last search reached when it failed to find t, the source side of the
+    least minimum s-t cut (the same for every maximum flow, so the same
+    whatever the starting paths).  ``free[a]`` holds a's arcs that carry no
+    flow and ``back[a]`` the tails of the units flowing into a; a search
+    grows over both.
     """
     n = len(arc)
     free = list(arc)
     back = [0] * n
-    value = reach = 0
+    for path in paths:
+        a = s
+        for b in path:
+            free[a] ^= 1 << b
+            back[b] |= 1 << a
+            a = b
+    value = len(paths)
+    reach = 0
     sink = 1 << t
     while value < cap:
         parent = [-1] * n
@@ -87,6 +104,15 @@ def _unit_flow(arc, s: int, t: int, cap: int) -> tuple[int, int]:
     return value, reach
 
 
+def _edge_paths(adj, s: int, t: int) -> list[tuple[int, ...]]:
+    """The edge network's paths s -> w -> t, one for each common neighbour w
+    of s and t, and the edge s-t if there is one: pairwise edge-disjoint."""
+    paths = [(w, t) for w in _bits(adj[s] & adj[t])]
+    if adj[s] >> t & 1:
+        paths.append((t,))
+    return paths
+
+
 def _require_cut_domain(g: Graph, what: str):
     """Reject the graphs a cut is undefined on; ``what`` names the quantity."""
     if g.n < 2:
@@ -106,7 +132,11 @@ def edge_connectivity(g: Graph) -> int:
     so each side holds a vertex with no neighbour across it, and the member
     of D that dominates that vertex lies on the same side.  D therefore meets
     both sides, and the answer is min(delta, lambda(0, t) for t in D - {0}).
-    Each flow is capped at the best value so far, which starts at delta.
+    Each flow is capped at the best value so far, which starts at delta, and
+    starts from the common-neighbour paths of 0 and t (with the edge 0-t if
+    there is one).  A flow whose paths already reach the cap is skipped, as
+    its capped answer is the cap; otherwise augmenting from those paths
+    reaches the same maximum flow value as augmenting from nothing.
     """
     _require_cut_domain(g, "edge connectivity")
     adj = g.adj
@@ -116,7 +146,9 @@ def edge_connectivity(g: Graph) -> int:
         if dominated >> t & 1:
             continue
         dominated |= adj[t] | 1 << t
-        best = min(best, _unit_flow(adj, 0, t, best)[0])
+        paths = _edge_paths(adj, 0, t)
+        if len(paths) < best:
+            best = _unit_flow(adj, 0, t, best, paths)[0]
     return best
 
 
@@ -149,14 +181,23 @@ def min_edge_cut(g: Graph) -> CutCertificate:
     """Return a deterministic minimum edge cut certificate.
 
     Ties break by the lexicographically least sink whose flow attains the
-    minimum; side1 is then the residual-reachable side of the source.
+    minimum; side1 is then the residual-reachable side of the source.  Each
+    flow starts from the common-neighbour paths of 0 and t (with the edge
+    0-t if there is one), and is skipped when they already reach the best
+    value so far, since it could not undercut it.  The residual reach of a
+    maximum flow is the source side of the least minimum cut whatever flow
+    the search started from, so the sides, the cut and the tie-break are
+    those of unseeded flows.
     """
     _require_cut_domain(g, "an edge cut")
     # every lambda(0, t) is below n; a flow capped at the best so far cannot
-    # undercut it, so the capped flows never change the certificate
+    # undercut it, so the capped and skipped flows never change the certificate
     best = g.n
     for t in range(1, g.n):
-        value, reach = _unit_flow(g.adj, 0, t, best)
+        paths = _edge_paths(g.adj, 0, t)
+        if len(paths) >= best:
+            continue
+        value, reach = _unit_flow(g.adj, 0, t, best, paths)
         if value < best:
             best, side1 = value, reach
     side2 = ((1 << g.n) - 1) ^ side1
@@ -191,7 +232,11 @@ def vertex_connectivity(g: Graph) -> int:
     |C| - 1 + kappa and |C| <= (n - kappa) / 2, so kappa >= 2 delta + 2 - n.
     A non-complete graph with delta = 1 or delta = n - 2 therefore runs no
     flow.  A complete graph has no nonadjacent pair, runs no flow and keeps
-    delta = n - 1.
+    delta = n - 1.  Each flow starts from the paths x -> w -> y through the
+    common neighbours w of x and y, which are internally disjoint, and a
+    pair with at least best common neighbours is skipped, since its capped
+    flow would return best; augmenting from those paths reaches the same
+    maximum flow value as augmenting from nothing.
     """
     if not is_connected(g):
         raise GraphError("vertex connectivity is defined here for connected graphs")
@@ -214,8 +259,13 @@ def vertex_connectivity(g: Graph) -> int:
     for x in _bits(adj[v]):
         pairs += [(x, y) for y in _bits(adj[v] & ~adj[x] & ~((2 << x) - 1))]
     for x, y in pairs:
-        # a flow capped at best returns min(best, kappa(x, y))
-        best = _unit_flow(arc, 2 * x + 1, 2 * y, best)[0]
+        # a flow capped at best returns min(best, kappa(x, y)), which is best
+        # when x and y have best common neighbours
+        common = adj[x] & adj[y]
+        if common.bit_count() >= best:
+            continue
+        paths = [(2 * w, 2 * w + 1, 2 * y) for w in _bits(common)]
+        best = _unit_flow(arc, 2 * x + 1, 2 * y, best, paths)[0]
         if best == floor:
             break
     return best

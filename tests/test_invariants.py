@@ -31,8 +31,8 @@ from edgeconn import (
     vertex_connectivity,
     walk,
 )
-from edgeconn.graphs import Graph, is_connected
-from edgeconn.invariants import _unit_flow
+from edgeconn.graphs import Graph, _bits, is_connected
+from edgeconn.invariants import _edge_paths, _unit_flow
 from edgeconn.oracles import distance_matrix, edge_cut_oracle, vertex_cut_oracle
 
 from test_iso import graph_from_mask, labeled_graphs
@@ -169,6 +169,18 @@ def _gap_prone_graphs(seed, count):
     return out
 
 
+def _split_network(g):
+    """The vertex-split network: vertex w is the arc 2w -> 2w+1 and each edge
+    wu the arcs 2w+1 -> 2u and 2u+1 -> 2w, built here from ``has_edge``."""
+    arc = [0] * (2 * g.n)
+    for w in range(g.n):
+        arc[2 * w] = 1 << (2 * w + 1)
+        for u in range(g.n):
+            if g.has_edge(w, u):
+                arc[2 * w + 1] |= 1 << (2 * u)
+    return arc
+
+
 class TestSecondRoute:
     def test_dominating_sinks_and_layers_match_full_routes(self):
         """kappa' from dominating-set sinks equals the all-sinks cut value, and
@@ -192,12 +204,7 @@ class TestSecondRoute:
         at_floor = gaps = between = 0
         for g in gs:
             n = g.n
-            arc = [0] * (2 * n)
-            for w in range(n):
-                arc[2 * w] = 1 << (2 * w + 1)
-                for u in range(n):
-                    if g.has_edge(w, u):
-                        arc[2 * w + 1] |= 1 << (2 * u)
+            arc = _split_network(g)
             flows = [_unit_flow(arc, 2 * x + 1, 2 * y, n)[0]
                      for x in range(n) for y in range(x + 1, n) if not g.has_edge(x, y)]
             k = vertex_connectivity(g)
@@ -210,6 +217,45 @@ class TestSecondRoute:
         # both ways out of the search occur: stopping at the floor, and
         # running every pair with kappa below delta but above the floor
         assert (at_floor, gaps, between) == (5069, 1011, 389)
+
+    def test_seeded_flows_match_unseeded(self):
+        """A flow seeded with its common-neighbour paths agrees with the
+        unseeded flow at every cap from 1 to n.  Where the paths reach the
+        cap, the unseeded maximum flow is at least the cap, so skipping that
+        flow loses nothing; above it, the seeded value is min(cap, maximum
+        flow), and below the cap its reach is the unseeded reach.  kappa',
+        kappa and the cut certificate equal those that unseeded flows give."""
+        gs = [g for g in walk(7) if g.n >= 2] + _gap_prone_graphs(seed=9, count=300)
+        runs = skips = 0
+        for g in gs:
+            n, adj = g.n, g.adj
+            split = _split_network(g)
+            cases = [(adj, s, t, _edge_paths(adj, s, t))
+                     for s in range(n) for t in range(n) if s != t]
+            cases += [(split, 2 * x + 1, 2 * y, [(2 * w, 2 * w + 1, 2 * y) for w in _bits(adj[x] & adj[y])])
+                      for x in range(n) for y in range(n) if x != y and not g.has_edge(x, y)]
+            for arc, s, t, paths in cases:
+                # every s-t flow is below n, so the cap-n call is the maximum flow
+                top, reach = _unit_flow(arc, s, t, n)
+                assert top >= len(paths), (to_graph6(g), s, t)
+                skips += len(paths)
+                for cap in range(len(paths) + 1, n + 1):
+                    value, seeded_reach = _unit_flow(arc, s, t, cap, paths)
+                    assert value == min(cap, top), (to_graph6(g), s, t, cap)
+                    if value < cap:
+                        assert seeded_reach == reach, (to_graph6(g), s, t, cap)
+                    runs += 1
+            # kappa' and the least sink's least minimum cut from unseeded flows
+            # out of vertex 0, kappa from unseeded flows over every nonadjacent pair
+            flows = [_unit_flow(adj, 0, t, n) for t in range(1, n)]
+            least = min(flows, key=lambda f: f[0])
+            assert edge_connectivity(g) == least[0], to_graph6(g)
+            assert min_edge_cut(g).side1 == least[1], to_graph6(g)
+            kappas = [_unit_flow(split, 2 * x + 1, 2 * y, n)[0]
+                      for x in range(n) for y in range(x + 1, n) if not g.has_edge(x, y)]
+            assert vertex_connectivity(g) == min(kappas, default=n - 1), to_graph6(g)
+        # both the seeded runs and the skipped caps occur many times over
+        assert runs > 100000 and skips > 100000, (runs, skips)
 
 
 def _nx_graph(nx, g):
@@ -251,6 +297,21 @@ class TestNetworkxOracle:
             chordal += is_chordal(g)
         # both answers occur often enough to matter
         assert 100 <= chordal <= 620, chordal
+
+    def test_gap_prone_graphs_match_networkx(self):
+        """kappa, kappa' and the cut certificate's value on 9..18 vertices,
+        where most flows are skipped or seeded from common neighbours."""
+        nx = pytest.importorskip("networkx")
+        gaps = 0
+        for g in _gap_prone_graphs(seed=11, count=200):
+            h = _nx_graph(nx, g)
+            kp = nx.edge_connectivity(h)
+            assert vertex_connectivity(g) == nx.node_connectivity(h), to_graph6(g)
+            assert edge_connectivity(g) == kp, to_graph6(g)
+            assert min_edge_cut(g).value == kp, to_graph6(g)
+            gaps += kp < min_degree(g)
+        # a fifth of them have kappa' < delta, so the cut is not at a vertex
+        assert gaps == 39, gaps
 
     def test_order_eight_sample_matches_networkx(self, levels8):
         sample = levels8[8][::10]
