@@ -76,9 +76,14 @@ which is connected; in child - v the new vertex joins that connected graph,
 so v is a non-cut vertex of the child too.  Its child degree is at least
 floor > d, the new vertex's degree.  A mask of one vertex is exempt (it may
 be v itself, and then v is a cut vertex of the child), and goes through the
-normal test.  Automorphisms preserve a mask's size, so the masks the lemma
-rejects fill whole orbits and are dropped before orbits are formed
-(``_orbit_leaders``): they get no child rows and no ``_removable`` call.
+normal test.  Equal case: a mask of exactly d = floor >= 2 vertices that
+holds a non-cut parent vertex v of degree floor is rejected as well.  The
+mask has a vertex other than v, so as before v stays a non-cut vertex of
+the child, and its child degree is floor + 1 > d.  Automorphisms preserve a
+mask's size, and a vertex's degree and non-cut status, so the masks the
+lemma rejects fill whole orbits and are dropped before orbits are formed
+(``_orbit_leaders``, given the mask ``top`` of those vertices v): they get
+no child rows and no ``_removable`` call.
 """
 
 from __future__ import annotations
@@ -130,27 +135,38 @@ def _cut_table(n: int, adj) -> list[tuple[int, ...]]:
     return table
 
 
-def _orbit_leaders(n: int, autos, floor: int = 0) -> list[int]:
+def _orbit_leaders(n: int, autos, floor: int = 0, top: int = 0) -> list[int]:
     """The nonzero vertex masks that are least in their orbit under the group
     the automorphisms generate, ascending.
 
-    Only masks of one vertex or of at least ``floor`` vertices are listed (the
-    floor lemma); automorphisms keep a mask's size, so this drops whole orbits
-    and leaves the other leaders as they are.  The default lists them all.
+    With ``floor`` >= 2 only masks of one vertex or of at least ``floor``
+    vertices are listed, less those of exactly ``floor`` vertices that meet
+    ``top`` (the floor lemma and its equal case).  Automorphisms keep a
+    mask's size, and must map ``top`` onto itself, so this drops whole
+    orbits and leaves the other leaders as they are.  The defaults list
+    them all.
+
+    Each generator's image of a mask is read from two half tables, one for
+    the low ``n // 2`` bits and one for the rest, so no table spans all
+    2^n masks.
     """
     size = 1 << n
     masks = range(1, size)
-    if floor > 2:
-        masks = [m for m in masks if not m & (m - 1) or m.bit_count() >= floor]
+    if floor >= 2:
+        masks = [m for m in masks
+                 if not m & (m - 1) or (c := m.bit_count()) > floor or c == floor and not m & top]
     if not autos:
         return list(masks)
-    images = []
+    h = n // 2
+    low = (1 << h) - 1
+    halves = []
     for a in autos:
-        img = [0] * size
-        for m in range(1, size):
-            low = m & -m
-            img[m] = img[m ^ low] | 1 << a[low.bit_length() - 1]
-        images.append(img)
+        lo, hi = [0] * (1 << h), [0] * (1 << (n - h))
+        for table, shift in ((lo, 0), (hi, h)):
+            for m in range(1, len(table)):
+                b = m & -m
+                table[m] = table[m ^ b] | 1 << a[b.bit_length() - 1 + shift]
+        halves.append((lo, hi))
     seen = bytearray(size)
     leaders = []
     for mask in masks:
@@ -161,8 +177,8 @@ def _orbit_leaders(n: int, autos, floor: int = 0) -> list[int]:
         todo = [mask]
         while todo:
             m = todo.pop()
-            for img in images:
-                x = img[m]
+            for lo, hi in halves:
+                x = lo[m & low] | hi[m >> h]
                 if not seen[x]:
                     seen[x] = 1
                     todo.append(x)
@@ -249,7 +265,7 @@ def _expand(parent: Graph, patterns, label=None) -> list[tuple[Graph, tuple | No
     ``mask & S`` is a listed trace of some parent set S, right after the
     degree lemma and before the first refinement.  Both tests read only the
     parent and the mask, so a candidate's child rows are built only once it
-    passes them.  Masks below the floor lemma's bound are never tried.
+    passes them.  Masks that the floor lemma rejects are never tried.
 
     A child's label is ``_canonical_rows(n, child.adj)[1:]``, the encoding and
     automorphism generators, with the generators as a tuple, when the child
@@ -266,11 +282,13 @@ def _expand(parent: Graph, patterns, label=None) -> list[tuple[Graph, tuple | No
     degs = [r.bit_count() for r in padj]
     parent_degs = sorted(degs)
     cut_table = _cut_table(pn, padj)
-    floor = max(degs[v] for v in range(pn) if len(cut_table[v]) < 2)
+    non_cut = [v for v in range(pn) if len(cut_table[v]) < 2]
+    floor = max(degs[v] for v in non_cut)
+    top = sum(1 << v for v in non_cut if degs[v] == floor)
     forbidden = _forbidden_traces(pn, padj, patterns) if patterns else ()
     accepted = []  # (rows, label or None when not yet labelled), in mask order
     relabel = False  # some child was accepted through a singleton cell not holding the new vertex
-    for mask in _orbit_leaders(pn, parent_autos, floor):
+    for mask in _orbit_leaders(pn, parent_autos, floor, top):
         removable = _removable(pn, degs, mask, cut_table)
         if not removable:
             continue

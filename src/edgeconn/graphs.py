@@ -45,7 +45,10 @@ class Graph:
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
         for v, row in enumerate(adj):
-            for u in _bits(row):
+            while row:
+                b = row & -row
+                row ^= b
+                u = b.bit_length() - 1
                 if not adj[u] >> v & 1:
                     raise GraphError(f"edge {v}-{u} is not symmetric")
         object.__setattr__(self, "n", n)

@@ -38,6 +38,12 @@ def _refine(adj, cells, splitters=None):
     The queue starts with ``splitters``, popped from the end, or with every
     cell when none are given.
 
+    A splitter of one vertex u gives each cell C at most two fragments,
+    ``C & ~adj[u]`` (count 0) and ``C & adj[u]`` (count 1), so one mask
+    intersection per cell yields the fragments, in the order and queue
+    order the count loop would.  Refinement stops once the partition is
+    discrete: a singleton cell never splits, so later pops change nothing.
+
     A branch of the canonical search passes only ``W - {v}`` after
     individualising v in a cell W of an equitable partition, and gets the
     same partition as from every cell (McKay, J. Algorithms 26, 1998).  A
@@ -51,32 +57,49 @@ def _refine(adj, cells, splitters=None):
     splitter that does anything, followed by the same fragments in the same
     order: the splits, and the result, are identical.
     """
+    n = len(adj)
+    if len(cells) == n:
+        return cells
     queue = list(cells if splitters is None else splitters)
     while queue:
         splitter = queue.pop()
         new_cells = []
         changed = False
-        for cell in cells:
-            if cell & (cell - 1) == 0:
-                new_cells.append(cell)
-                continue
-            buckets: dict[int, int] = {}
-            m = cell
-            while m:
-                b = m & -m
-                m ^= b
-                k = (adj[b.bit_length() - 1] & splitter).bit_count()
-                buckets[k] = buckets.get(k, 0) | b
-            if len(buckets) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for k in sorted(buckets):
-                    frag = buckets[k]
-                    new_cells.append(frag)
-                    queue.append(frag)
+        if not splitter & (splitter - 1):
+            nbrs = adj[splitter.bit_length() - 1]
+            for cell in cells:
+                inside = cell & nbrs
+                if inside and inside != cell:
+                    outside = cell ^ inside
+                    new_cells += (outside, inside)
+                    queue += (outside, inside)
+                    changed = True
+                else:
+                    new_cells.append(cell)
+        else:
+            for cell in cells:
+                if cell & (cell - 1) == 0:
+                    new_cells.append(cell)
+                    continue
+                buckets: dict[int, int] = {}
+                m = cell
+                while m:
+                    b = m & -m
+                    m ^= b
+                    k = (adj[b.bit_length() - 1] & splitter).bit_count()
+                    buckets[k] = buckets.get(k, 0) | b
+                if len(buckets) == 1:
+                    new_cells.append(cell)
+                else:
+                    changed = True
+                    for k in sorted(buckets):
+                        frag = buckets[k]
+                        new_cells.append(frag)
+                        queue.append(frag)
         if changed:
             cells = new_cells
+            if len(cells) == n:
+                break
     return cells
 
 

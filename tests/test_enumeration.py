@@ -419,6 +419,11 @@ def non_cut_floor(parent):
     return max((parent.adj[v].bit_count() for v in brute_non_cut(parent)), default=0)
 
 
+def non_cut_top(parent, floor):
+    """The mask of the non-cut vertices of degree ``floor``, by direct test."""
+    return sum(1 << v for v in brute_non_cut(parent) if parent.adj[v].bit_count() == floor)
+
+
 class TestFloorLemma:
     def test_masks_below_floor_are_rejected(self, levels7):
         # every mask of 2..floor - 1 vertices fails the degree lemma, so
@@ -447,6 +452,43 @@ class TestFloorLemma:
                 for floor in range(pn + 1):
                     want = [m for m in leaders if m.bit_count() == 1 or m.bit_count() >= floor]
                     assert enumeration._orbit_leaders(pn, autos, floor) == want, (to_graph6(parent), floor)
+
+    def test_masks_of_floor_size_meeting_top_are_rejected(self, levels7):
+        # equal case: a mask of exactly floor >= 2 vertices holding a non-cut
+        # vertex of degree floor fails the degree lemma too
+        dropped = 0
+        for pn in range(1, 8):
+            for parent in levels7[pn]:
+                floor = non_cut_floor(parent)
+                if floor < 2:
+                    continue
+                top = non_cut_top(parent, floor)
+                degs = [r.bit_count() for r in parent.adj]
+                cut_table = enumeration._cut_table(pn, parent.adj)
+                for mask in range(1, 1 << pn):
+                    if mask.bit_count() == floor and mask & top:
+                        assert enumeration._removable(pn, degs, mask, cut_table) == 0, (
+                            to_graph6(parent), mask)
+                        dropped += 1
+        assert dropped > 0
+
+    def test_top_drops_whole_orbits(self, levels7):
+        # degree and non-cut status are kept by automorphisms, so the masks of
+        # floor vertices meeting top fill whole orbits: the leaders with top
+        # are the unfiltered leaders less those, in order
+        dropped = 0
+        for pn in range(1, 8):
+            for parent in levels7[pn]:
+                autos = _canonical_rows(pn, parent.adj)[2]
+                leaders = enumeration._orbit_leaders(pn, autos)
+                floor = non_cut_floor(parent)
+                top = non_cut_top(parent, floor)
+                want = [m for m in leaders
+                        if floor < 2 or m.bit_count() == 1 or m.bit_count() > floor
+                        or m.bit_count() == floor and not m & top]
+                assert enumeration._orbit_leaders(pn, autos, floor, top) == want, to_graph6(parent)
+                dropped += len(leaders) - len(want)
+        assert dropped > 0
 
 
 class TestLabelCarry:

@@ -46,6 +46,17 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(2, (0b10, 0b00))
 
+    @pytest.mark.parametrize("rows, pair", [
+        ((0b010, 0, 0), "0-1"),
+        ((0, 0b100, 0), "1-2"),
+        # row 0 names 2 and 3 and only 2 names 0 back: the first failing pair is 0-3
+        ((0b1100, 0, 0b0001, 0), "0-3"),
+        ((0b0100, 0b1000, 0, 0), "0-2"),
+    ])
+    def test_asymmetry_names_the_first_failing_pair(self, rows, pair):
+        with pytest.raises(GraphError, match=f"^edge {pair} is not symmetric$"):
+            Graph(len(rows), rows)
+
     def test_rejects_loops(self):
         with pytest.raises(GraphError):
             Graph(2, (0b01, 0b10))

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 import subprocess
 import sys
 
@@ -176,15 +177,15 @@ def petersen_graph() -> Graph:
     return from_edges(10, outer + spokes + inner)
 
 
-def check_branch_seeding(g: Graph, depth: int = 2) -> int:
-    """Compare seeded and full-queue refinement on every branch to ``depth``.
+def branch_partitions(g: Graph, depth: int = 2):
+    """Yield (partition, splitter) for every branch of the canonical search
+    to ``depth``.
 
     A branch individualises a vertex v of a non-singleton cell W of an
-    equitable partition; refining from the one splitter W - {v} must give
-    exactly what refining from every cell gives.  Returns the branch count.
+    equitable partition, and refines from the one splitter W - {v}; the
+    next depth branches from what that refinement gives.
     """
     adj = g.adj
-    checked = 0
     frontier = [_refine(adj, [(1 << g.n) - 1])]
     for _ in range(depth):
         nxt = []
@@ -195,12 +196,65 @@ def check_branch_seeding(g: Graph, depth: int = 2) -> int:
                 for v in _bits(cell):
                     rest = cell ^ 1 << v
                     branched = cells[:idx] + [1 << v, rest] + cells[idx + 1:]
-                    seeded = _refine(adj, branched, [rest])
-                    assert seeded == _refine(adj, branched), (to_graph6(g), idx, v)
-                    nxt.append(seeded)
-                    checked += 1
+                    yield branched, rest
+                    nxt.append(_refine(adj, branched, [rest]))
         frontier = nxt
+
+
+def check_branch_seeding(g: Graph, depth: int = 2) -> int:
+    """Compare seeded and full-queue refinement on every branch to ``depth``:
+    refining from the one splitter W - {v} must give exactly what refining
+    from every cell gives.  Returns the branch count.
+    """
+    checked = 0
+    for branched, rest in branch_partitions(g, depth):
+        assert _refine(g.adj, branched, [rest]) == _refine(g.adj, branched), (to_graph6(g), branched, rest)
+        checked += 1
     return checked
+
+
+def reference_refine(adj, cells, splitters=None):
+    """``_refine`` as a plain count loop: every splitter, of one vertex or
+    many, splits each cell into buckets by neighbour count, ordered by
+    count, and refinement runs until the queue is empty."""
+    queue = list(cells if splitters is None else splitters)
+    while queue:
+        splitter = queue.pop()
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                new_cells.append(cell)
+                continue
+            buckets: dict[int, int] = {}
+            m = cell
+            while m:
+                b = m & -m
+                m ^= b
+                k = (adj[b.bit_length() - 1] & splitter).bit_count()
+                buckets[k] = buckets.get(k, 0) | b
+            if len(buckets) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for k in sorted(buckets):
+                    frag = buckets[k]
+                    new_cells.append(frag)
+                    queue.append(frag)
+        if changed:
+            cells = new_cells
+    return cells
+
+
+def random_rows(rng, n: int) -> list[int]:
+    """Adjacency rows of a random graph on n vertices with a random edge density."""
+    p = rng.random()
+    rows = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows
 
 
 class TestBranchSeeding:
@@ -215,6 +269,51 @@ class TestBranchSeeding:
     def test_symmetric_graphs(self):
         for g in (complete_bipartite(6, 6), cycle_graph(12), petersen_graph()):
             assert check_branch_seeding(g) > 0
+
+
+class TestRefineReference:
+    """``_refine`` splits on a one-vertex splitter by one mask intersection
+    and stops at a discrete partition; both must give exactly the
+    partition of the count loop."""
+
+    def test_walk_seven(self):
+        compared = 0
+        for g in walk(7):
+            full = [(1 << g.n) - 1]
+            assert _refine(g.adj, full) == reference_refine(g.adj, full), to_graph6(g)
+            for branched, rest in branch_partitions(g):
+                assert _refine(g.adj, branched, [rest]) == reference_refine(g.adj, branched, [rest]), (
+                    to_graph6(g), branched, rest)
+                assert _refine(g.adj, branched) == reference_refine(g.adj, branched), (to_graph6(g), branched)
+                compared += 1
+        assert compared == 11203
+
+    def test_random_partitions(self):
+        # arbitrary ordered partitions of 9..16-vertex graphs, refined from
+        # every cell or from a random splitter list whose masks are single
+        # vertices, cells or arbitrary vertex sets
+        rng = random.Random(26)
+        singles = 0
+        for _ in range(600):
+            n = rng.randint(9, 16)
+            rows = random_rows(rng, n)
+            order = list(range(n))
+            rng.shuffle(order)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            cells = [sum(1 << v for v in order[i:j]) for i, j in zip([0] + cuts, cuts + [n])]
+            splitters = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    splitters.append(1 << rng.randrange(n))
+                    singles += 1
+                elif kind == 1:
+                    splitters.append(rng.choice(cells))
+                else:
+                    splitters.append(rng.randint(1, (1 << n) - 1))
+            for queue in (None, splitters):
+                assert _refine(rows, cells, queue) == reference_refine(rows, cells, queue), (rows, cells, queue)
+        assert singles > 0
 
 
 class TestCanonical:
