@@ -65,7 +65,6 @@ from .atlas import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    known_witness,
     make_family_member,
     parse_pattern_set,
     parse_pattern_token,

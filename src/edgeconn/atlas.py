@@ -3,8 +3,9 @@
 Constructors fix one documented vertex numbering each, so tests and stream
 tools see stable graph6 strings.  The parameterized families generalize the
 bridged two-block shapes that keep edge connectivity 1 while minimum degree
-stays higher; each member carries a certificate of the structural facts the
-sweeps rely on, and construction aborts if any certified fact fails.
+stays higher; each member carries a certificate of its structural facts
+(edge connectivity, minimum degree, the patterns it avoids or contains), and
+construction aborts if any certified fact fails.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .invariants import (
 from .iso import (
     Pattern,
     PatternSet,
-    are_isomorphic,
     canonical_form,
     contains_induced,
     is_free,
@@ -309,40 +309,3 @@ def make_family_member(family_id: int, params) -> FamilyMember:
                 f"family {family_id} params {params}: certified fact {name!r} is false"
             )
     return FamilyMember(family_id, params, g, tuple(cert))
-
-
-# the pairs just beyond the kappa' = delta boundary, in report order, each
-# with the family member that avoids both patterns
-_WITNESS_SPECS: tuple[tuple[str, int, tuple[int, ...]], ...] = (
-    ("H1,P6", 5, (2,)),
-    ("Z3,P6", 1, (4,)),
-    ("Z2,P7", 6, (2, 2)),
-    ("Z2,T1_1_4", 6, (2, 2)),
-    ("K1_4,P5", 1, (3,)),
-    ("K1_3,P5", 1, (4,)),
-)
-
-
-def catalogued_pairs() -> list[PatternSet]:
-    """The pairs the witness catalogue names, in report order."""
-    return [parse_pattern_set(text) for text, _, _ in _WITNESS_SPECS]
-
-
-def known_witness(pair: PatternSet) -> FamilyMember | None:
-    """Return a cataloged family member that is pair-free with kappa' < delta.
-
-    A catalogue entry matches when it has as many members as the pair and
-    each member of the pair is isomorphic to one of them; ``are_isomorphic``
-    rejects on order, size and degrees first, so a large symmetric member
-    is never canonicalised.
-    """
-    for text, fam, params in _WITNESS_SPECS:
-        entry = parse_pattern_set(text).patterns
-        if len(entry) == len(pair.patterns) and all(
-            any(are_isomorphic(p.graph, q.graph) for q in entry) for p in pair.patterns
-        ):
-            member = make_family_member(fam, params)
-            if not is_free(member.graph, pair):
-                raise CertificateError(f"cataloged witness for {pair.label} is not pair-free")
-            return member
-    return None

@@ -266,7 +266,7 @@ def _run_campaign(ns: argparse.Namespace) -> int:
 
     The sections: the embedded selftest, exhaustive equality scans for every
     characterized pattern set of all three targets, witness mining for the
-    catalogued pairs just beyond the edge-connectivity boundary, the
+    listed pairs just beyond the edge-connectivity boundary, the
     sufficient-condition soundness sweep, the minimum-cut interior sweep, and
     the intersection of the two single-equality characterizations.  One
     summary line per record goes to stdout.  Returns 2 when any section finds
@@ -312,7 +312,7 @@ def _run_campaign(ns: argparse.Namespace) -> int:
             print(f"  {row['pair']}: no witness up to n={ns.n_max}")
         else:
             print(f"  {row['pair']}: witness {row['witness']} "
-                  f"(kappa'={row['kappa_prime']} < delta={row['delta']}, {row['origin']})")
+                  f"(kappa'={row['kappa_prime']} < delta={row['delta']})")
     report("extension_witnesses", rows)
     held["extension_witnesses"] = all(row["witness"] is not None for row in rows)
 

@@ -298,12 +298,12 @@ def _expand(parent: Graph, patterns, label=None) -> list[tuple[Graph, tuple | No
         rows.append(mask)
         # cell lemma: vstar lies in the last cell of the first refinement that meets removable
         cells = _refine(rows, [(1 << n) - 1])
-        top = _last_cell(cells, removable)
-        if not top & new:
-            u = (top & -top).bit_length() - 1  # any vertex of an equitable cell gives the same degrees
+        last = _last_cell(cells, removable)
+        if not last & new:
+            u = (last & -last).bit_length() - 1  # any vertex of an equitable cell gives the same degrees
             if sorted(r.bit_count() for r in _delete_rows(n, rows, u)) != parent_degs:
                 continue
-        single = top & removable
+        single = last & removable
         if single & (single - 1):
             perm, enc, autos = _canonical_rows(n, rows, cells)
             child_label = enc, tuple(autos)

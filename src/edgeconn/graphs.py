@@ -110,7 +110,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def induced(g: Graph, vertices: int | Iterable[int]) -> Graph:
     """Return the subgraph induced by ``vertices`` (bit mask or iterable).
 
-    Kept vertices are relabeled 0.. in ascending original order.
+    Kept vertices are relabeled 0.. in ascending order of their old labels.
     """
     mask = vertices if isinstance(vertices, int) else _iterable_to_mask(g.n, vertices)
     if mask & ~((1 << g.n) - 1):

@@ -132,7 +132,7 @@ def _upper_key(adj, order) -> int:
 def _canonical_rows(n: int, adj, cells=None):
     """Return (perm, encoding, automorphisms) for the minimal relabeling.
 
-    ``perm[i]`` is the original vertex taking canonical label i.  The
+    ``perm[i]`` is the input vertex taking canonical label i.  The
     encoding is the ``_upper_key`` of the relabeled graph, so equal
     encodings at equal n mean isomorphic graphs.  ``cells``, when given,
     must be ``_refine(adj, [(1 << n) - 1])``, so a caller that

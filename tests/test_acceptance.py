@@ -154,7 +154,7 @@ def test_criterion_05_witnesses_beyond_the_boundary(capsys):
         if not (is_free(g, pair) and edge_connectivity(g) < min_degree(g) and g.n <= 9):
             bad.append(text)
         else:
-            found.append(f"{text}: {rec.witness} ({rec.origin})")
+            found.append(f"{text}: {rec.witness} (order {g.n})")
     elapsed = time.perf_counter() - t0
     ok = not bad
     detail = (

@@ -18,9 +18,9 @@ from edgeconn import (
     edge_connectivity,
     from_graph6,
     is_free,
-    known_witness,
     make_family_member,
     min_degree,
+    mine_witness,
     parse_pattern_set,
     parse_pattern_token,
     path_graph,
@@ -226,26 +226,18 @@ class TestFamilies:
         forms = {canonical_form(g) for g in bases}
         assert len(forms) == 7
 
-
-class TestKnownWitnesses:
-    def test_catalog_entries_resolve_and_revalidate(self):
-        pairs = ("K1_4,P5", "K1_3,P5", "Z3,P6", "H1,P6", "Z2,P7", "Z2,T1_1_4")
-        for text in pairs:
+    def test_members_witness_the_listed_pairs(self):
+        # each pair of the witness sweep has a family member free of it with
+        # kappa' < delta; mining finds one of least order, never a larger one
+        for text, fam, params in (
+            ("H1,P6", 5, (2,)), ("Z3,P6", 1, (4,)), ("Z2,P7", 6, (2, 2)),
+            ("Z2,T1_1_4", 6, (2, 2)), ("K1_4,P5", 1, (3,)), ("K1_3,P5", 1, (4,)),
+        ):
             ps = parse_pattern_set(text)
-            member = known_witness(ps)
-            assert member is not None, text
-            g = member.graph
+            g = make_family_member(fam, params).graph
             assert is_free(g, ps), text
             assert edge_connectivity(g) < min_degree(g), text
-
-    def test_order_of_tokens_does_not_matter(self):
-        a = known_witness(parse_pattern_set("P6,H1"))
-        b = known_witness(parse_pattern_set("H1,P6"))
-        assert a is not None and b is not None
-        assert a.graph == b.graph
-
-    def test_uncataloged_pair_returns_none(self):
-        assert known_witness(parse_pattern_set("Z2,P6")) is None
+            assert from_graph6(mine_witness(ps, g.n).witness).n <= g.n, text
 
     def test_certificate_failure_raises(self, monkeypatch):
         from edgeconn import atlas

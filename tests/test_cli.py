@@ -343,9 +343,8 @@ class TestMine:
     def test_witness_found(self, capsys):
         code, out = invoke(capsys, "mine", "--pair", "Z2,P7", "--n-max", "8")
         assert code == 0
-        record = json.loads(out)
-        assert record["origin"] == "family"
-        assert record["kappa_prime"] < record["delta"]
+        assert json.loads(out) == {"pair": "{Z2,P7}", "witness": "GqGSQG",
+                                   "kappa_prime": 1, "delta": 2}
 
     def test_witness_absent(self, capsys):
         code, out = invoke(capsys, "mine", "--pair", "Z2,P6", "--n-max", "6")
@@ -355,8 +354,7 @@ class TestMine:
     def test_csv_format(self, capsys):
         code, out = invoke(capsys, "mine", "--pair", "Z2,P7", "--n-max", "8", "--format", "csv")
         assert code == 0
-        assert out == ("pair,witness,kappa_prime,delta,origin\n"
-                       '"{Z2,P7}",G]??Ww,1,2,family\n')
+        assert out == 'pair,witness,kappa_prime,delta\n"{Z2,P7}",GqGSQG,1,2\n'
         code, out = invoke(capsys, "mine", "--pair", "Z2,P6", "--n-max", "6", "--format", "csv")
         assert code == 2
         assert out == 'pair,witness\n"{Z2,P6}",\n'
@@ -398,7 +396,7 @@ class TestSubprocessEntry:
         proc = invoke_subprocess("verify", "--pair", "K12,P4", "--n-max", "4", timeout=20)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["claim_id"] == "kappa_prime_delta:{K12,P4}"
-        # the witness catalogue is matched member by member, not by canonical form
+        # nor does mining, which walks the same pair-free graphs
         proc = invoke_subprocess("mine", "--pair", "K12,P4", "--n-max", "4", timeout=20)
         assert proc.returncode == 2, proc.stderr
         assert json.loads(proc.stdout) == {"pair": "{K12,P4}", "witness": None}

@@ -16,7 +16,11 @@ from edgeconn import (
     condition_soundness,
     connected_level,
     cut_interior_sweep,
+    edge_connectivity,
+    from_graph6,
     intersect_characterizations,
+    is_free,
+    min_degree,
     mine_witness,
     parse_pattern_set,
     pattern_equivalent,
@@ -98,8 +102,6 @@ class TestVerdicts:
             assert d[tally] == dict(rec.tallies)[tally]
 
     def test_scan_counts_only_free_graphs(self, levels6):
-        from edgeconn import is_free
-
         ps = parse_pattern_set("K1_3")
         rec = verify_pattern_set(ps, 6)
         want = sum(1 for n in range(2, 7) for g in levels6[n] if is_free(g, ps))
@@ -118,16 +120,16 @@ class TestVerdicts:
 
 class TestWitnessMining:
     def test_family_route(self):
+        # the least witness is the order-8 member of family 6, K_{2,2} bridged to K_{2,2}
         rec = mine_witness(parse_pattern_set("Z2,P7"), 8)
         assert rec is not None
-        assert rec.origin == "family"
+        assert rec.witness == "GqGSQG"
         assert rec.kappa_prime < rec.delta
 
     def test_enumerated_route(self):
-        # not in the table, but a witness exists at n=6 already
+        # a witness exists at n=6 already
         rec = mine_witness(parse_pattern_set("C4,C5"), 6)
         assert rec is not None
-        assert rec.origin == "enumerated"
         assert rec.witness == "EqhO"
 
     def test_absent_within_budget(self):
@@ -135,54 +137,55 @@ class TestWitnessMining:
         assert mine_witness(parse_pattern_set("Z2,P6"), 6) is None
 
     def test_family_too_big_for_budget_falls_back(self):
-        # the cataloged witness has 8 vertices; at n_max=6 mining rescans the
-        # enumeration, and the only order-6 gap graph contains Z2
+        # the least witness has 8 vertices, and the only order-6 gap graph contains Z2
         assert mine_witness(parse_pattern_set("Z2,P7"), 6) is None
 
     def test_bounds(self):
         with pytest.raises(GraphError):
             mine_witness(parse_pattern_set("Z2,P7"), 12)
 
+    def test_order_of_tokens_does_not_matter(self):
+        a = mine_witness(parse_pattern_set("P6,H1"), 8)
+        b = mine_witness(parse_pattern_set("H1,P6"), 8)
+        assert a is not None and b is not None
+        assert a.witness == b.witness
+
 
 class TestWitnessRecordValidation:
     def test_rejects_wrong_gap(self):
         with pytest.raises(ValueError):
-            WitnessRecord(parse_pattern_set("C4,C5"), "EqhO", 1, 3, "enumerated")
+            WitnessRecord(parse_pattern_set("C4,C5"), "EqhO", 1, 3)
 
     def test_rejects_non_free_witness(self):
         with pytest.raises(ValueError):
-            WitnessRecord(parse_pattern_set("K3"), "EqhO", 1, 2, "enumerated")
+            WitnessRecord(parse_pattern_set("K3"), "EqhO", 1, 2)
 
     def test_rejects_equality_graph(self):
         g6 = to_graph6(complete_graph(4))
         with pytest.raises(ValueError):
-            WitnessRecord(parse_pattern_set("C4,C5"), g6, 3, 3, "enumerated")
-
-    def test_rejects_unknown_origin(self):
-        with pytest.raises(ValueError):
-            WitnessRecord(parse_pattern_set("C4,C5"), "EqhO", 1, 2, "guessed")
+            WitnessRecord(parse_pattern_set("C4,C5"), g6, 3, 3)
 
     def test_accepts_valid(self):
-        rec = WitnessRecord(parse_pattern_set("C4,C5"), "EqhO", 1, 2, "enumerated")
+        rec = WitnessRecord(parse_pattern_set("C4,C5"), "EqhO", 1, 2)
         assert rec.as_dict()["pair"] == "{C4,C5}"
 
 
-def use_catalogue(monkeypatch, *specs):
-    """Stand in for the atlas witness catalogue."""
-    from edgeconn import atlas
+def use_catalogue(monkeypatch, *pairs):
+    """Stand in for the witness sweep's pair list."""
+    from edgeconn import verify
 
-    monkeypatch.setattr(atlas, "_WITNESS_SPECS", specs)
+    monkeypatch.setattr(verify, "WITNESS_PAIRS", pairs)
 
 
 class TestWitnessSweep:
     def test_rejects_pair_below_base(self, monkeypatch):
-        use_catalogue(monkeypatch, ("Z2,P6", 6, (2, 2)))
+        use_catalogue(monkeypatch, "Z2,P6")
         with pytest.raises(ValueError, match="at or below characterized set"):
             witness_sweep(6)
 
     def test_rejects_pair_below_some_other_base(self, monkeypatch):
         # strictly above the singleton but below a characterized pair
-        use_catalogue(monkeypatch, ("H1,P6", 5, (2,)), ("K3,K1_3", 1, (3,)))
+        use_catalogue(monkeypatch, "H1,P6", "K3,K1_3")
         with pytest.raises(ValueError, match="K3,K1_3"):
             witness_sweep(6)
 
@@ -196,8 +199,37 @@ class TestWitnessSweep:
             assert row["witness"] is not None, row["pair"]
             assert row["kappa_prime"] < row["delta"]
 
+    def test_rows_pinned_and_least(self, levels7):
+        """The six rows at n_max 8, the same at n_max 9, each witness of least order."""
+        try:
+            import networkx as nx
+        except ImportError:
+            nx = None
+        rows = witness_sweep(8)
+        assert [(r["pair"], r["witness"], from_graph6(r["witness"]).n, r["kappa_prime"],
+                 r["delta"], r["relation"]) for r in rows] == [
+            ("{H1,P6}", "FqIPO", 7, 1, 2, "strict-extension"),
+            ("{Z3,P6}", "EqhO", 6, 1, 2, "strict-extension"),
+            ("{Z2,P7}", "GqGSQG", 8, 1, 2, "strict-extension"),
+            ("{Z2,T1_1_4}", "GqGSQG", 8, 1, 2, "strict-extension"),
+            ("{K1_4,P5}", "EqhO", 6, 1, 2, "incomparable"),
+            ("{K1_3,P5}", "EqhO", 6, 1, 2, "incomparable"),
+        ]
+        assert witness_sweep(9) == rows
+        for row in rows:
+            pair = parse_pattern_set(row["pair"].strip("{}"))
+            g = from_graph6(row["witness"])
+            if nx is not None:
+                nx_g = nx.Graph(g.edges())
+                assert nx.edge_connectivity(nx_g) == row["kappa_prime"], row["pair"]
+                assert min(d for _, d in nx_g.degree()) == row["delta"], row["pair"]
+            # least order, by the unfiltered levels rather than the free walk
+            smaller = [h for n in range(2, g.n) for h in levels7[n]
+                       if is_free(h, pair) and edge_connectivity(h) < min_degree(h)]
+            assert smaller == [], row["pair"]
+
     def test_relation_follows_the_pair_not_its_place(self, monkeypatch):
-        use_catalogue(monkeypatch, ("K1_3,P5", 1, (4,)), ("Z2,P7", 6, (2, 2)))
+        use_catalogue(monkeypatch, "K1_3,P5", "Z2,P7")
         rows = witness_sweep(8)
         assert [(r["pair"], r["relation"]) for r in rows] == [
             ("{K1_3,P5}", "incomparable"), ("{Z2,P7}", "strict-extension"),
