@@ -35,7 +35,6 @@ from .iso import (
     find_induced,
     is_free,
     longest_induced_path_order,
-    maximal_common_induced_subgraphs,
     pattern_equivalent,
     pattern_preceq,
     pattern_set,

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from types import MappingProxyType
 
-from .graphs import Graph, _bits, induced, is_connected, to_graph6
+from .graphs import Graph, _bits, from_edges, is_connected, to_graph6
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -450,62 +450,10 @@ def pattern_strictly_preceq(h1, h2) -> bool:
     return pattern_preceq(h1, h2) and not pattern_preceq(h2, h1)
 
 
-def maximal_common_induced_subgraphs(a, b, max_order: int) -> list[Graph]:
-    """Return the maximal connected graphs induced in every listed graph.
-
-    ``a`` and ``b`` are graphs or iterables of graphs; candidates run over
-    connected induced subgraphs of the smallest member, up to ``max_order``
-    vertices.  A common subgraph is kept when no strictly larger kept one
-    contains it; results are sorted by (order, size, form).
-    """
-    hosts = _as_graphs(a) + _as_graphs(b)
-    if not hosts:
-        raise ValueError("need at least one graph per side")
-    if max_order < 1:
-        raise ValueError("max_order must be positive")
-    base_at = min(range(len(hosts)), key=lambda i: (hosts[i].n, hosts[i].m))
-    base = hosts[base_at]
-    others = [h for i, h in enumerate(hosts) if i != base_at]
-    found: dict[str, Graph] = {}
-    for size in range(1, min(max_order, base.n) + 1):
-        for sub in combinations(range(base.n), size):
-            h = induced(base, sub)
-            if not is_connected(h):
-                continue
-            form = canonical_form(h)
-            if form in found:
-                continue
-            if all(contains_induced(x, h) for x in others):
-                found[form] = h
-    commons = [h for _, h in sorted(found.items(), key=lambda kv: (kv[1].n, kv[1].m, kv[0]))]
-    keep = []
-    for h in commons:
-        dominated = any(
-            other.n > h.n and contains_induced(other, h) for other in commons
-        )
-        if not dominated:
-            keep.append(h)
-    return keep
-
-
 def longest_induced_path_order(g: Graph) -> int:
-    """Return the vertex count of a longest induced path."""
-    best = 1 if g.n else 0
-    adj = g.adj
-
-    def extend(last, mask, blocked, size):
-        nonlocal best
-        if size > best:
-            best = size
-        cand = adj[last] & ~mask & ~blocked
-        nxt_blocked = blocked | adj[last]
-        m = cand
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            extend(v, mask | b, nxt_blocked, size + 1)
-
-    for s in range(g.n):
-        extend(s, 1 << s, 0, 1)
-    return best
+    """Return the vertex count of a longest induced path: the least k with
+    no induced P_{k+1}, since a longer induced path holds every shorter one."""
+    k = 0
+    while k < g.n and contains_induced(g, from_edges(k + 1, [(v, v + 1) for v in range(k)])):
+        k += 1
+    return k

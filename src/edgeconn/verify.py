@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 from .atlas import parse_pattern_set, parse_pattern_token, recognize_pattern
 from .conditions import condition_implication_rows
 from .enumeration import walk
-from .graphs import from_graph6, is_connected, to_graph6
+from .graphs import Graph, from_graph6, induced, is_connected, to_graph6
 from .invariants import (
     cut_interior_property,
     edge_connectivity,
@@ -33,7 +35,6 @@ from .iso import (
     canonical_form,
     contains_induced,
     is_free,
-    maximal_common_induced_subgraphs,
     pattern_preceq,
     pattern_set,
     pattern_strictly_preceq,
@@ -250,19 +251,6 @@ def cut_interior_sweep(n_max: int, workers: int = 1) -> VerdictRecord:
 # ---------------------------------------------------------------------------
 # characterization intersection
 
-def _partitions(items: list, k: int):
-    """Yield each split of ``items`` into at most k nonempty blocks, once."""
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for part in _partitions(items[1:], k):
-        for i, block in enumerate(part):
-            yield part[:i] + [[first] + block] + part[i + 1:]
-        if len(part) < k:
-            yield [[first]] + part
-
-
 def _reduce_members(graphs) -> tuple[frozenset, list]:
     """Collapse a drawn member tuple: dedupe isomorphs, drop implied members.
 
@@ -290,18 +278,21 @@ def intersect_characterizations(a, b, max_order: int) -> list[PatternSet]:
     """The maximal sets below one set of each list, up to ordering equivalence.
 
     H is at or below both ha and hb exactly when every member of ha ∪ hb
-    contains some member of H as an induced subgraph.  So, for each pairing
-    and k = max(|ha|, |hb|), the members of ha ∪ hb (up to isomorphism) are
-    split into at most k nonempty blocks, and each block gives one of its
-    maximal common connected induced subgraphs of order <= ``max_order``.
-    This finds every such H of at most k members of order <= ``max_order``:
-    put each member of ha ∪ hb in a block i whose X_i it contains; X_i lies
-    in a maximal common subgraph X'_i of its block, so H is at or below
-    {X'_i}.  Strictly dominated draws are dropped; the rest come back in
-    ``_rep_key`` order and no two are equivalent.  Each draw is an antichain
-    under induced containment (``_reduce_members``).  If antichains H1 and H2
-    are equivalent, each y in H2 contains an x in H1 that contains a y' in
-    H2, so y = y' ≅ x; they have the same members, so the same ``results`` key.
+    contains some member of H as an induced subgraph.  So, for each pairing,
+    the universe is the connected induced subgraphs of order <= ``max_order``
+    of the members of ha ∪ hb, one per isomorphism class, each with the mask
+    of the members that contain it; a draw of at most k = max(|ha|, |hb|) of
+    them is at or below both sets exactly when its masks OR to every member.
+    This universe is enough.  Suppose a member x of H lies in no member of
+    ha ∪ hb.  Then H - x is still at or below both sets, and either
+    H ≡ H - x, so the smaller draw is found, or H lies strictly below H - x,
+    so H is not maximal.  Removing such members one at a time, each maximal
+    H has an equivalent draw in the universe.  Strictly dominated draws are dropped; the rest
+    come back in ``_rep_key`` order and no two are equivalent.  Each draw is
+    an antichain under induced containment (``_reduce_members``).  If
+    antichains H1 and H2 are equivalent, each y in H2 contains an x in H1
+    that contains a y' in H2, so y = y' ≅ x; they have the same members, so
+    the same ``results`` key.
     """
     if not 1 <= max_order <= 7:
         raise ValueError(f"max_order must be within 1..7, got {max_order}")
@@ -309,25 +300,27 @@ def intersect_characterizations(a, b, max_order: int) -> list[PatternSet]:
     b_list = [b] if isinstance(b, PatternSet) else list(b)
     if not a_list or not b_list:
         raise ValueError("both characterization lists must be nonempty")
-    # each set's members by canonical form, so a pairing dedupes by dict merge
-    a_forms = [{canonical_form(p.graph): p.graph for p in h.patterns} for h in a_list]
-    b_forms = [{canonical_form(p.graph): p.graph for p in h.patterns} for h in b_list]
-    mcis_cache: dict[frozenset, list] = {}
+    # member form -> its connected induced subgraphs of order <= max_order, by form
+    below: dict[str, dict[str, Graph]] = {}
+    for g in {p.graph for h in a_list + b_list for p in h.patterns}:
+        subs = (induced(g, sub) for size in range(1, min(max_order, g.n) + 1)
+                for sub in combinations(range(g.n), size))
+        below[canonical_form(g)] = {canonical_form(s): s for s in subs if is_connected(s)}
+    a_forms = [h.form_key() for h in a_list]
+    b_forms = [h.form_key() for h in b_list]
     results: dict[frozenset, PatternSet] = {}
     for fa in a_forms:
         for fb in b_forms:
-            k = max(len(fa), len(fb))
-            for blocks in _partitions(list({**fa, **fb}.items()), k):
-                options = []
-                for block in blocks:
-                    key = frozenset(form for form, _ in block)
-                    if key not in mcis_cache:
-                        graphs = [g for _, g in block]
-                        mcis_cache[key] = maximal_common_induced_subgraphs(
-                            graphs[0], graphs[1:], max_order)
-                    options.append(mcis_cache[key])
-                for choice in product(*options):
-                    forms, keep = _reduce_members(choice)
+            universe: dict[str, list] = {}
+            for i, form in enumerate(sorted(fa | fb)):
+                for sub_form, s in below[form].items():
+                    universe.setdefault(sub_form, [s, 0])[1] |= 1 << i
+            full = (1 << len(fa | fb)) - 1
+            for size in range(1, max(len(fa), len(fb)) + 1):
+                for draw in combinations(universe.values(), size):
+                    if reduce(or_, (mask for _, mask in draw)) != full:
+                        continue
+                    forms, keep = _reduce_members(g for g, _ in draw)
                     if forms not in results:
                         results[forms] = pattern_set(*((g, recognize_pattern(g)) for g in keep))
     formed = list(results.values())

@@ -29,7 +29,6 @@ from edgeconn import (
     induced,
     is_free,
     longest_induced_path_order,
-    maximal_common_induced_subgraphs,
     parse_pattern_set,
     path_graph,
     pattern_equivalent,
@@ -481,34 +480,6 @@ class TestPreceq:
                     # inclusion may still hold by accident at small n, but not
                     # for this universe; record the stronger fact
                     assert not fa <= fb, (a.label, b.label)
-
-
-class TestCommonSubgraphs:
-    def test_documented_meets(self):
-        h1 = maximal_common_induced_subgraphs(bridged_triangles(), cycle_graph(6), 6)
-        assert [canonical_form(g) for g in h1] == [canonical_form(path_graph(4))]
-        k = maximal_common_induced_subgraphs(complete_graph(3), star(3), 4)
-        assert [canonical_form(g) for g in k] == [canonical_form(path_graph(2))]
-        z = maximal_common_induced_subgraphs(triangle_with_tail(1), bridged_triangles(), 6)
-        assert [canonical_form(g) for g in z] == [canonical_form(triangle_with_tail(1))]
-
-    def test_maximality(self):
-        out = maximal_common_induced_subgraphs(cycle_graph(6), path_graph(6), 6)
-        # every common induced subgraph embeds in some listed one
-        assert out
-        for g in out:
-            assert contains_induced(cycle_graph(6), g)
-            assert contains_induced(path_graph(6), g)
-        # P5 is the longest shared path and C6 has no other 5-vertex trace
-        assert [canonical_form(g) for g in out] == [canonical_form(path_graph(5))]
-
-    def test_respects_max_order(self):
-        out = maximal_common_induced_subgraphs(path_graph(6), path_graph(6), 3)
-        assert [g.n for g in out] == [3]
-
-    def test_validates_arguments(self):
-        with pytest.raises(ValueError):
-            maximal_common_induced_subgraphs(path_graph(3), path_graph(3), 0)
 
 
 class TestLongestInducedPath:

@@ -15,6 +15,7 @@ from edgeconn import (
     complete_graph,
     condition_soundness,
     connected_level,
+    contains_induced,
     cut_interior_sweep,
     edge_connectivity,
     from_graph6,
@@ -119,7 +120,7 @@ class TestVerdicts:
 
 
 class TestWitnessMining:
-    def test_family_route(self):
+    def test_least_z2_p7_witness_is_gqgsqg_at_order_eight(self):
         # the least witness is the order-8 member of family 6, K_{2,2} bridged to K_{2,2}
         rec = mine_witness(parse_pattern_set("Z2,P7"), 8)
         assert rec is not None
@@ -136,7 +137,7 @@ class TestWitnessMining:
         # pair-free graphs keep the equality through n=6 for this pair
         assert mine_witness(parse_pattern_set("Z2,P6"), 6) is None
 
-    def test_family_too_big_for_budget_falls_back(self):
+    def test_no_z2_p7_witness_up_to_order_six(self):
         # the least witness has 8 vertices, and the only order-6 gap graph contains Z2
         assert mine_witness(parse_pattern_set("Z2,P7"), 6) is None
 
@@ -242,6 +243,14 @@ class TestWitnessSweep:
         assert all(r["witness"] is None for r in rows)
 
 
+# the kappa = kappa' by kappa' = delta meet, by max_order
+JOINT_MEET = {
+    3: ["P3"],
+    4: ["{K1_3,Z1}", "{P4,Z1}"],
+    **dict.fromkeys((5, 6, 7), ["{P4,H0}", "{Z1,P5}", "{Z1,T1_1_2}"]),
+}
+
+
 class TestIntersection:
     def test_joint_lists_for_both_equalities(self):
         """Crossing the two lists recovers the maximal sets of the joint one."""
@@ -295,7 +304,8 @@ class TestIntersection:
         assert len(candidates) == n_candidates
         kkp = characterized_sets("kappa_kappa_prime")
         kpd = characterized_sets("kappa_prime_delta")
-        for a, b in ((kkp, kpd), (kpd, kpd)):
+        kd = characterized_sets("kappa_delta")
+        for a, b in ((kkp, kpd), (kpd, kpd), (kd, kkp), (kkp, kkp)):
             meet = intersect_characterizations(a, b, max_order)
 
             def valid(h):
@@ -308,6 +318,23 @@ class TestIntersection:
                     assert any(pattern_preceq(h, m) for m in meet), h.label
             for x, y in permutations(meet, 2):
                 assert not pattern_preceq(x, y), (x.label, y.label)
+
+    @pytest.mark.parametrize("max_order", sorted(JOINT_MEET))
+    def test_joint_meet_pinned_by_order(self, max_order):
+        """The kappa = kappa' by kappa' = delta meet at each order, crossed
+        either way round, and each member of it lies in a member of the
+        crossed lists."""
+        kkp = characterized_sets("kappa_kappa_prime")
+        kpd = characterized_sets("kappa_prime_delta")
+        meet = intersect_characterizations(kkp, kpd, max_order)
+        assert [ps.label for ps in meet] == JOINT_MEET[max_order]
+        swapped = intersect_characterizations(kpd, kkp, max_order)
+        assert [ps.label for ps in swapped] == JOINT_MEET[max_order]
+        hosts = [p.graph for ps in kkp + kpd for p in ps.patterns]
+        for ps in meet:
+            for p in ps.patterns:
+                assert p.graph.n <= max_order, (ps.label, p.label)
+                assert any(contains_induced(h, p.graph) for h in hosts), (ps.label, p.label)
 
     def test_max_order_validated(self):
         with pytest.raises(ValueError):
