@@ -380,6 +380,14 @@ def cut_interior_property(g: Graph) -> bool:
     Requires edge connectivity strictly below minimum degree.  True when
     each side of the recorded minimum cut has a vertex outside the cut
     boundary and every such interior vertex keeps an interior neighbor.
+
+    Every cut of c < delta edges has this property, not only the recorded
+    one.  Let A be a side and dA its vertices that meet the cut.  If
+    |A| <= delta, each vertex of A has at least delta - |A| + 1 cut edges, so
+    c >= |A| (delta - |A| + 1) >= delta, which is false.  So
+    |A| >= delta + 1 > c >= |dA|, and A has an interior vertex x.  If every
+    neighbour of x lay in dA, then delta <= deg x <= |dA| <= c.  So the check
+    can fail only on a wrong ``min_edge_cut`` certificate.
     """
     cert = min_edge_cut(g)
     if cert.value >= min_degree(g):

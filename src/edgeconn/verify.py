@@ -33,11 +33,9 @@ from .invariants import (
 from .iso import (
     PatternSet,
     canonical_form,
-    contains_induced,
     is_free,
     pattern_preceq,
     pattern_set,
-    pattern_strictly_preceq,
 )
 
 # target name -> (left invariant, right invariant)
@@ -209,7 +207,8 @@ def witness_sweep(n_max: int, workers: int = 1) -> list[dict]:
                 )
     rows = []
     for pair in pairs:
-        strict = any(pattern_strictly_preceq(c, pair) for c in bases)
+        # the refusal above rules out pair <= c, so c <= pair is strict
+        strict = any(pattern_preceq(c, pair) for c in bases)
         rec = mine_witness(pair, n_max, workers)
         row = {"pair": pair.label, "witness": None} if rec is None else rec.as_dict()
         rows.append({**row, "relation": "strict-extension" if strict else "incomparable"})
@@ -251,24 +250,6 @@ def cut_interior_sweep(n_max: int, workers: int = 1) -> VerdictRecord:
 # ---------------------------------------------------------------------------
 # characterization intersection
 
-def _reduce_members(graphs) -> tuple[frozenset, list]:
-    """Collapse a drawn member tuple: dedupe isomorphs, drop implied members.
-
-    A member that has another member as induced subgraph is implied (the
-    smaller forbiddance already rules it out) and is removed.  Returns the
-    kept members' canonical forms and the kept graphs, smallest first.
-    """
-    by_form = {}
-    for g in graphs:
-        by_form.setdefault(canonical_form(g), g)
-    items = sorted(by_form.items(), key=lambda kv: (kv[1].n, kv[1].m, kv[0]))
-    keep = [
-        (form, g) for form, g in items
-        if not any(contains_induced(g, other) for f2, other in items if f2 != form)
-    ]
-    return frozenset(form for form, _ in keep), [g for _, g in keep]
-
-
 def _rep_key(ps: PatternSet):
     shape = tuple(sorted((p.graph.n, p.graph.m) for p in ps.patterns))
     return (len(ps.patterns), shape, ps.label)
@@ -287,12 +268,19 @@ def intersect_characterizations(a, b, max_order: int) -> list[PatternSet]:
     ha ∪ hb.  Then H - x is still at or below both sets, and either
     H ≡ H - x, so the smaller draw is found, or H lies strictly below H - x,
     so H is not maximal.  Removing such members one at a time, each maximal
-    H has an equivalent draw in the universe.  Strictly dominated draws are dropped; the rest
-    come back in ``_rep_key`` order and no two are equivalent.  Each draw is
-    an antichain under induced containment (``_reduce_members``).  If
+    H has an equivalent draw in the universe.
+
+    Only minimal covers are kept, draws whose masks OR to every member while
+    no member can be dropped.  Each maximal H has one: drop unneeded members
+    one at a time; each step still covers and is at or above the last, so
+    for a maximal H each stays equivalent to H.  A minimal cover is an
+    antichain of distinct classes: if x lies in y, every member that holds y
+    also holds x, so y's mask lies inside x's and y is not needed.  If
     antichains H1 and H2 are equivalent, each y in H2 contains an x in H1
-    that contains a y' in H2, so y = y' ≅ x; they have the same members, so
-    the same ``results`` key.
+    that contains a y' in H2, so y = y' ≅ x, and they have the same
+    ``results`` key.  So distinct results are inequivalent, a result at or
+    below another lies strictly below it and is dropped, and the rest come
+    back in ``_rep_key`` order.
     """
     if not 1 <= max_order <= 7:
         raise ValueError(f"max_order must be within 1..7, got {max_order}")
@@ -317,15 +305,18 @@ def intersect_characterizations(a, b, max_order: int) -> list[PatternSet]:
                     universe.setdefault(sub_form, [s, 0])[1] |= 1 << i
             full = (1 << len(fa | fb)) - 1
             for size in range(1, max(len(fa), len(fb)) + 1):
-                for draw in combinations(universe.values(), size):
-                    if reduce(or_, (mask for _, mask in draw)) != full:
+                for draw in combinations(universe.items(), size):
+                    masks = [mask for _, (_, mask) in draw]
+                    if reduce(or_, masks) != full or any(
+                            reduce(or_, masks[:i] + masks[i + 1:], 0) == full for i in range(size)):
                         continue
-                    forms, keep = _reduce_members(g for g, _ in draw)
+                    forms = frozenset(form for form, _ in draw)
                     if forms not in results:
-                        results[forms] = pattern_set(*((g, recognize_pattern(g)) for g in keep))
+                        members = sorted((g.n, g.m, form, g) for form, (g, _) in draw)
+                        results[forms] = pattern_set(*((g, recognize_pattern(g)) for *_, g in members))
     formed = list(results.values())
     kept = [
         h for h in formed
-        if not any(pattern_strictly_preceq(h, other) for other in formed)
+        if not any(other is not h and pattern_preceq(h, other) for other in formed)
     ]
     return sorted(kept, key=_rep_key)

@@ -468,3 +468,29 @@ class TestCutInteriorProperty:
         counts = {n: len(gs) for n, gs in gap_graphs.items() if gs}
         assert counts == {6: 1, 7: 5}
         assert are_isomorphic(gap_graphs[6][0], bridged_triangles())
+
+    def test_every_small_cut_has_it(self, levels8):
+        """The lemma itself: on every gap graph of order <= 8, every cut of
+        fewer than delta edges, found by brute force over the bipartitions
+        with vertex 0 on side A, leaves each side an interior vertex, and
+        every interior vertex an interior neighbour."""
+        gap_graphs = cuts = 0
+        for n in range(2, 9):
+            for g in levels8[n]:
+                delta = min_degree(g)
+                if edge_connectivity(g) >= delta:
+                    continue
+                gap_graphs += 1
+                full = (1 << n) - 1
+                for side_b in range(2, full + 1, 2):
+                    side_a = full ^ side_b
+                    if sum((g.adj[u] & side_b).bit_count() for u in _bits(side_a)) >= delta:
+                        continue
+                    cuts += 1
+                    for side, other in ((side_a, side_b), (side_b, side_a)):
+                        interior = side & ~sum(1 << u for u in _bits(side) if g.adj[u] & other)
+                        assert interior, (to_graph6(g), side_a)
+                        for x in _bits(interior):
+                            assert g.adj[x] & interior, (to_graph6(g), side_a, x)
+        # some gap graphs have two or three such cuts, not only the recorded one
+        assert (gap_graphs, cuts) == (50, 57)

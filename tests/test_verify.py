@@ -293,6 +293,17 @@ class TestIntersection:
         assert len(meet) == 1
         assert pattern_equivalent(meet[0], parse_pattern_set("P3"))
 
+    @pytest.mark.parametrize("target, single", [("kappa_kappa_prime", "P3"),
+                                                ("kappa_prime_delta", "P4")])
+    def test_singleton_meet_at_pair_width(self, target, single):
+        # k = 2, so covering draws of two members such as {P3,K1_3} or
+        # {P3,P4} are tried; each is equivalent to or below the single
+        # pattern, and the meet must still be that pattern alone
+        meet = intersect_characterizations(
+            characterized_sets(target), [parse_pattern_set(single)], 6
+        )
+        assert [(ps.label, [p.label for p in ps.patterns]) for ps in meet] == [(single, [single])]
+
     @pytest.mark.parametrize("max_order, n_candidates", [(4, 55), (5, 496)])
     def test_exact_against_every_small_set(self, max_order, n_candidates):
         # every set of one or two connected graphs of order <= max_order that
