@@ -56,6 +56,15 @@ tried.  So singleton children are labelled only when some sibling was
 accepted through another vertex u, and then all at once, after the loop, and
 filtered in mask order like the rest.
 
+Only-new case.  A candidate whose removable set is the new vertex alone is
+accepted unlabelled without its first refinement.  The last cell that meets
+that set is the cell holding the new vertex, and its removable part is the
+new vertex alone, so the singleton lemma accepts the child through the new
+vertex whatever the refinement gives, and the cell lemma's degree test is
+not made (it always passes when the new vertex is in the cell).  The child
+keeps its None label, so the lazy labelling and the sibling filter treat it
+as before.
+
 Trace lemma.  Let a parent be free of a pattern p on k vertices.  A child
 whose new vertex z sees ``mask`` contains p exactly when, for some set S of
 k - 1 parent vertices and some vertex x of p, parent[S] is isomorphic to
@@ -270,9 +279,14 @@ def _expand(parent: Graph, patterns, label=None) -> list[tuple[Graph, tuple | No
     A child's label is ``_canonical_rows(n, child.adj)[1:]``, the encoding and
     automorphism generators, with the generators as a tuple, when the child
     was canonically labelled here, and None when the singleton lemma accepted
-    it unlabelled.  ``label``, when given, is the parent's label, and saves
-    labelling the parent again: a child's rows are the rows it is expanded
-    from, so the label is the one a fresh call would compute.
+    it unlabelled: through a last removable cell of one vertex, or, with no
+    refinement at all, because the new vertex is its only removable vertex
+    (the only-new case).  Unlabelled children are labelled after the loop
+    only when some sibling was accepted through another vertex.
+
+    ``label``, when given, is the parent's label, and saves labelling the
+    parent again: a child's rows are the rows it is expanded from, so the
+    label is the one a fresh call would compute.
     """
     pn = parent.n
     n = pn + 1
@@ -296,6 +310,10 @@ def _expand(parent: Graph, patterns, label=None) -> list[tuple[Graph, tuple | No
             continue
         rows = [padj[v] | new if mask >> v & 1 else padj[v] for v in range(pn)]
         rows.append(mask)
+        if removable == new:
+            # only-new case: the singleton lemma accepts it whatever the refinement gives
+            accepted.append((rows, None))
+            continue
         # cell lemma: vstar lies in the last cell of the first refinement that meets removable
         cells = _refine(rows, [(1 << n) - 1])
         last = _last_cell(cells, removable)

@@ -235,6 +235,36 @@ class TestExpansion:
             assert "many" not in {kept, dropped} or kept == dropped
             assert (kept, dropped) != ("new", "new")
 
+    def test_only_new_candidates_are_not_refined(self, monkeypatch, levels7):
+        # the only-new case: a candidate whose one removable vertex is the new
+        # one is accepted before its first refinement; _refine from the unit
+        # partition is the child refinement (_canonical_rows calls iso's own)
+        state = {"last_only_new": False, "only_new": 0, "refined": 0, "refined_only_new": 0}
+        real_removable, real_refine = enumeration._removable, enumeration._refine
+
+        def removable(pn, degs, mask, cut_table):
+            got = real_removable(pn, degs, mask, cut_table)
+            state["last_only_new"] = got == 1 << pn
+            state["only_new"] += state["last_only_new"]
+            return got
+
+        def refine(rows, cells):
+            if len(cells) == 1:
+                state["refined"] += 1
+                state["refined_only_new"] += state["last_only_new"]
+            return real_refine(rows, cells)
+
+        monkeypatch.setattr(enumeration, "_removable", removable)
+        monkeypatch.setattr(enumeration, "_refine", refine)
+        for pn in range(1, 8):
+            for parent in levels7[pn]:
+                enumeration._expand(parent, ())
+        assert state["refined_only_new"] == 0
+        # refining every candidate that passes the degree lemma makes 17 768
+        # child refinements; the only-new case skips 5 747 of them
+        assert state["only_new"] == 5747
+        assert state["refined"] == 12021 == 17768 - state["only_new"]
+
     @pytest.mark.parametrize("text", ["H1,P5", "Z2,P6"])
     def test_singleton_lemma_keeps_free_walk_output(self, text):
         # the free levels to order 8, each built by the reference from the
