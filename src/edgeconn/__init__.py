@@ -54,6 +54,7 @@ from .enumeration import (
     expand_children,
     read_graph6_stream,
     walk,
+    walk_sets,
     write_graph6_stream,
 )
 from .atlas import (
@@ -84,6 +85,7 @@ from .verify import (
     cut_interior_sweep,
     intersect_characterizations,
     mine_witness,
+    scan_claims,
     verify_pattern_set,
     witness_sweep,
 )

@@ -34,6 +34,7 @@ from .verify import (
     cut_interior_sweep,
     intersect_characterizations,
     mine_witness,
+    scan_claims,
     verify_pattern_set,
     witness_sweep,
 )
@@ -265,7 +266,8 @@ def _run_campaign(ns: argparse.Namespace) -> int:
     """Run the six campaign sections in order, one JSON report each under --out-dir.
 
     The sections: the embedded selftest, exhaustive equality scans for every
-    characterized pattern set of all three targets, witness mining for the
+    characterized pattern set of all three targets (one walk over the union
+    of their classes, ``scan_claims``), witness mining for the
     listed pairs just beyond the edge-connectivity boundary, the
     sufficient-condition soundness sweep, the minimum-cut interior sweep, and
     the intersection of the two single-equality characterizations.  One
@@ -297,11 +299,10 @@ def _run_campaign(ns: argparse.Namespace) -> int:
         return 2
 
     print(f"[2/6] equality scans, n <= {ns.n_max}")
-    scans = []
-    for target in TARGETS:
-        for ps in characterized_sets(target):
-            scans.append(verify_pattern_set(ps, ns.n_max, target, ns.workers))
-            print(_scan_line(scans[-1]))
+    scans = scan_claims([(target, ps) for target in TARGETS for ps in characterized_sets(target)],
+                        ns.n_max, ns.workers)
+    for rec in scans:
+        print(_scan_line(rec))
     report("equality_scans", [rec.as_dict() for rec in scans])
     held["equality_scans"] = all(rec.held for rec in scans)
 

@@ -93,6 +93,18 @@ mask's size, and a vertex's degree and non-cut status, so the masks the
 lemma rejects fill whole orbits and are dropped before orbits are formed
 (``_orbit_leaders``, given the mask ``top`` of those vertices v): they get
 no child rows and no ``_removable`` call.
+
+Union lemma.  A walk over several pattern sets at once (``walk_sets``) keeps
+every graph free of at least one of them, with one live bit per set it is
+free of.  A union of hereditary classes is hereditary, and a child's
+canonical parent is an induced subgraph of it, so the parent is free of every
+set the child is free of: it is in the union, it carries each of the child's
+live bits, and so every class of the union is reached once, from its
+canonical parent.  A child's live bits are its parent's, less those of the
+sets whose pattern the trace lemma finds in it, so bit i is exactly freeness
+of set i.  Isomorphic siblings share their live bits, so the sibling filter
+keeps, of each class, the child it keeps in the walk of any one set that
+class is free of, and each set's graphs come out in that walk's order.
 """
 
 from __future__ import annotations
@@ -263,18 +275,43 @@ def _forbidden_traces(pn: int, adj, patterns) -> list[tuple[int, frozenset]]:
     return [(s, frozenset(traces)) for s, traces in found.items()]
 
 
-def _expand(parent: Graph, patterns, label=None) -> list[tuple[Graph, tuple | None]]:
+def _live_traces(pn: int, adj, sets, live: int) -> list[tuple[int, list]]:
+    """The trace pairs of a parent free of the sets whose bits ``live`` holds,
+    one list per distinct pattern of those sets, with the bits to clear when
+    a child holds it.
+
+    Patterns held by the same live sets share one list, so a walk of one set
+    builds one list, as ``_forbidden_traces`` gives it; a pattern too large
+    for any child gives no list.
+    """
+    holders: dict[Graph, int] = {}
+    for i, patterns in enumerate(sets):
+        if live >> i & 1:
+            for p in patterns:
+                holders[p] = holders.get(p, 0) | 1 << i
+    groups: dict[int, list] = {}
+    for p, bits in holders.items():
+        groups.setdefault(bits, []).append(p)
+    return [(bits, traces) for bits, ps in groups.items()
+            if (traces := _forbidden_traces(pn, adj, ps))]
+
+
+def _expand(parent: Graph, sets=(), label=None,
+            live: int = 0) -> list[tuple[Graph, tuple | None, int]]:
     """Return the accepted one-vertex extensions of one parent, in order, each
-    paired with its label.
+    with its label and live bits.
 
     Children of distinct parents never collide, so concatenating these lists
-    over a whole level enumerates the next level exactly once.  With
-    ``patterns`` (graphs) the parent must be free of them, and only the free
-    children are returned: by the trace lemma a candidate is rejected when
-    ``mask & S`` is a listed trace of some parent set S, right after the
-    degree lemma and before the first refinement.  Both tests read only the
-    parent and the mask, so a candidate's child rows are built only once it
-    passes them.  Masks that the floor lemma rejects are never tried.
+    over a whole level enumerates the next level exactly once.  With ``sets``
+    (a sequence of pattern lists) the parent must be free of each set whose
+    bit ``live`` holds, and a child keeps the bits of the sets it is free of
+    and is returned only when it keeps one (the union lemma): by the trace
+    lemma a set's bit is cleared when ``mask & S`` is a listed trace of some
+    parent set S of one of its patterns, right after the degree lemma and
+    before the first refinement.  Both tests read only the parent and the
+    mask, so a candidate's child rows are built only once it passes them.
+    Masks that the floor lemma rejects are never tried.  With no sets every
+    child is returned, with live bits 0, and no trace is built.
 
     A child's label is ``_canonical_rows(n, child.adj)[1:]``, the encoding and
     automorphism generators, with the generators as a tuple, when the child
@@ -299,20 +336,25 @@ def _expand(parent: Graph, patterns, label=None) -> list[tuple[Graph, tuple | No
     non_cut = [v for v in range(pn) if len(cut_table[v]) < 2]
     floor = max(degs[v] for v in non_cut)
     top = sum(1 << v for v in non_cut if degs[v] == floor)
-    forbidden = _forbidden_traces(pn, padj, patterns) if patterns else ()
-    accepted = []  # (rows, label or None when not yet labelled), in mask order
+    traced = _live_traces(pn, padj, sets, live) if sets else ()
+    accepted = []  # (rows, label or None when not yet labelled, live bits), in mask order
     relabel = False  # some child was accepted through a singleton cell not holding the new vertex
     for mask in _orbit_leaders(pn, parent_autos, floor, top):
         removable = _removable(pn, degs, mask, cut_table)
         if not removable:
             continue
-        if forbidden and any(mask & s in traces for s, traces in forbidden):
-            continue
+        child_live = live
+        if traced:
+            for bits, forbidden in traced:
+                if child_live & bits and any(mask & s in traces for s, traces in forbidden):
+                    child_live &= ~bits
+            if not child_live:
+                continue
         rows = [padj[v] | new if mask >> v & 1 else padj[v] for v in range(pn)]
         rows.append(mask)
         if removable == new:
             # only-new case: the singleton lemma accepts it whatever the refinement gives
-            accepted.append((rows, None))
+            accepted.append((rows, None, child_live))
             continue
         # cell lemma: vstar lies in the last cell of the first refinement that meets removable
         cells = _refine(rows, [(1 << n) - 1])
@@ -334,19 +376,19 @@ def _expand(parent: Graph, patterns, label=None) -> list[tuple[Graph, tuple | No
             if _canonical_rows(pn, _delete_rows(n, rows, vstar))[1] != parent_enc:
                 continue
             relabel |= child_label is None
-        accepted.append((rows, child_label))
+        accepted.append((rows, child_label, child_live))
     if relabel:
-        for i, (rows, lab) in enumerate(accepted):
+        for i, (rows, lab, bits) in enumerate(accepted):
             if lab is None:
                 _, enc, autos = _canonical_rows(n, rows)
-                accepted[i] = rows, (enc, tuple(autos))
+                accepted[i] = rows, (enc, tuple(autos)), bits
     out = []
     seen_encs = set()
-    for rows, lab in accepted:
+    for rows, lab, bits in accepted:
         enc = None if lab is None else lab[0]
         if enc is None or enc not in seen_encs:
             seen_encs.add(enc)
-            out.append((Graph(n, rows), lab))
+            out.append((Graph(n, rows), lab, bits))
     return out
 
 
@@ -357,23 +399,24 @@ def expand_children(parent: Graph) -> list[Graph]:
     ``_expand`` so a caller can wrap it on its own.  Full levels hold graphs
     only, so the children's labels are dropped.
     """
-    return [g for g, _ in _expand(parent, ())]
+    return [g for g, _, _ in _expand(parent)]
 
 
-def _expand_all(parents, patterns) -> list:
+def _expand_all(parents, sets) -> list:
     """The children of each parent in turn, concatenated.
 
-    On a full level (``patterns`` None) they are graphs; on a free walk they
-    are (graph, label) pairs, as ``_expand`` returns them.
+    On a full level (``sets`` None) they are graphs; on a walk of pattern
+    sets they are (graph, label, live bits) triples, as ``_expand`` returns
+    them.
     """
     out: list = []
-    if patterns is None:
+    if sets is None:
         for parent in parents:
             # full levels go through expand_children, the entry a caller can wrap alone
             out.extend(expand_children(parent))
     else:
-        for parent, label in parents:
-            out.extend(_expand(parent, patterns, label))
+        for parent, label, live in parents:
+            out.extend(_expand(parent, sets, label, live))
     return out
 
 
@@ -384,11 +427,12 @@ def _pool_size(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _next_level(parents, patterns, workers: int) -> list:
+def _next_level(parents, sets, workers: int) -> list:
     """Expand every parent and concatenate the children, in parent order.
 
-    The parents and children are graphs on a full level (``patterns`` None)
-    and (graph, label) pairs on a free walk (``_expand_all``).
+    The parents and children are graphs on a full level (``sets`` None)
+    and (graph, label, live bits) triples on a walk of pattern sets
+    (``_expand_all``).
 
     With ``workers`` above 1 and at least 64 parents, ordered slices of the
     parent list go to a pool of that many processes, so the merged result is
@@ -399,9 +443,9 @@ def _next_level(parents, patterns, workers: int) -> list:
         step = max(1, len(parents) // (workers * 8))
         slices = [parents[i:i + step] for i in range(0, len(parents), step)]
         with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(partial(_expand_all, patterns=patterns), slices)
+            parts = pool.map(partial(_expand_all, sets=sets), slices)
         return [child for part in parts for child in part]
-    return _expand_all(parents, patterns)
+    return _expand_all(parents, sets)
 
 
 def connected_level(n: int, workers: int = 1) -> tuple[Graph, ...]:
@@ -424,29 +468,54 @@ def walk(n_max: int, patterns=None, workers: int = 1) -> Iterator[Graph]:
     """Yield the connected graphs of orders 2..n_max, level by level.
 
     With ``patterns`` given, only the graphs with no induced copy of any
-    pattern are kept.  Freeness is hereditary and a child's parent is an
-    induced subgraph of it, so such a walk expands only the free graphs of
-    each order, holds one free level at a time and never builds or caches a
-    full level.  A free level holds each graph with its label (``_expand``),
-    so a child labelled when it was accepted is expanded without being
-    labelled again; the walk yields the graphs alone.  Every exhaustive scan
-    goes through this one walk.  The
-    order bound and the worker count are checked here, when the walk is
-    made, not on its first step.
+    pattern are kept: the walk is ``walk_sets`` of that one set.  Every
+    exhaustive scan goes through this walk or ``walk_sets``.  The order
+    bound and the worker count are checked here, when the walk is made, not
+    on its first step.
     """
+    if patterns is None:
+        workers = _walk_bounds(n_max, workers)
+        return (g for n in range(2, n_max + 1) for g in connected_level(n, workers))
+    return (g for g, _ in walk_sets(n_max, [patterns], workers))
+
+
+def _walk_bounds(n_max: int, workers: int) -> int:
+    """Check a walk's order bound, and return its checked worker count."""
     if not 2 <= n_max <= MAX_ENUM_ORDER:
         raise GraphError(f"scans support 2 <= n_max <= {MAX_ENUM_ORDER}, got {n_max}")
-    workers = _pool_size(workers)
-    if patterns is None:
-        return (g for n in range(2, n_max + 1) for g in connected_level(n, workers))
-    return _free_walk(n_max, _as_graphs(patterns), workers)
+    return _pool_size(workers)
 
 
-def _free_walk(n_max: int, patterns, workers: int) -> Iterator[Graph]:
-    level = [(g, None) for g in connected_level(1) if is_free(g, patterns)]
-    for _ in range(2, n_max + 1):
-        level = _next_level(level, patterns, workers)
-        yield from (g for g, _ in level)
+def walk_sets(n_max: int, sets, workers: int = 1) -> Iterator[tuple[Graph, int]]:
+    """Yield (graph, live) for the connected graphs of orders 2..n_max that
+    are free of at least one of the pattern sets, level by level.
+
+    ``sets`` is a nonempty sequence of pattern sets (each a PatternSet, a
+    pattern, a graph or a sequence of them), and bit i of ``live`` is set
+    when the graph has no induced copy of any pattern of ``sets[i]``.  The
+    graphs whose bit i is set are those of ``walk(n_max, sets[i])``, in the
+    same order (the union lemma), so one walk serves every set.  Freeness is
+    hereditary, so the walk expands only the graphs of the union, holds one
+    level of it at a time and never builds or caches a full level.  A level
+    holds each graph with its label (``_expand``), so a child labelled when
+    it was accepted is expanded without being labelled again.  The order
+    bound, the worker count and the sets are checked when the walk is made,
+    not on its first step.
+    """
+    workers = _walk_bounds(n_max, workers)
+    sets = [_as_graphs(patterns) for patterns in sets]
+    if not sets:
+        raise GraphError("walk_sets needs at least one pattern set")
+    root = connected_level(1)[0]
+    live = sum(1 << i for i, patterns in enumerate(sets) if is_free(root, patterns))
+
+    def levels():
+        level = [(root, None, live)] if live else []
+        for _ in range(2, n_max + 1):
+            level = _next_level(level, sets, workers)
+            yield from ((g, bits) for g, _, bits in level)
+
+    return levels()
 
 
 def read_graph6_stream(path) -> Iterator[Graph]:

@@ -4,8 +4,8 @@ A claim here is "every connected pattern-free graph satisfies one of three
 invariant equalities": edge connectivity = minimum degree, vertex = edge
 connectivity, or vertex connectivity = minimum degree.  The scanner walks
 the connected pattern-free graphs up to a cutoff order, growing each order
-from the free graphs of the one below, and records each equality violation
-as a graph6 counterexample.  The module also mines witnesses for pattern
+from the free graphs of the one below, one walk for all the claims of a
+scan, and records each equality violation as a graph6 counterexample.  The module also mines witnesses for pattern
 sets outside the characterized lists from the same walk, runs the
 sufficient-condition and minimum-cut sweeps over all connected graphs, and
 intersects two characterized lists into the candidates for the combined
@@ -22,7 +22,7 @@ from operator import or_
 
 from .atlas import parse_pattern_set, parse_pattern_token, recognize_pattern
 from .conditions import condition_implication_rows
-from .enumeration import walk
+from .enumeration import walk, walk_sets
 from .graphs import Graph, from_graph6, induced, is_connected, to_graph6
 from .invariants import (
     cut_interior_property,
@@ -101,15 +101,14 @@ class VerdictRecord:
         }
 
 
-def _scan(claim_id: str, n_max: int, patterns, workers: int, check,
-          tallies=()) -> VerdictRecord:
-    """Run ``check`` on every graph of the walk and collect what it reports.
+def _scan(claim_id: str, n_max: int, graphs, check, tallies=()) -> VerdictRecord:
+    """Run ``check`` on each of ``graphs`` and collect what it reports.
 
     ``check(g, counts)`` returns the graph's counterexamples (usually none)
     and may add to ``counts``, a dict holding one count per name in
-    ``tallies``.
+    ``tallies``.  ``elapsed_ms`` times this loop: the checks, and whatever
+    ``graphs`` does to yield each graph.
     """
-    graphs = walk(n_max, patterns, workers)
     t0 = time.perf_counter()
     scanned = 0
     counts = dict.fromkeys(tallies, 0)
@@ -122,16 +121,47 @@ def _scan(claim_id: str, n_max: int, patterns, workers: int, check,
                          tuple(counts.items()))
 
 
+def scan_claims(claims, n_max: int, workers: int = 1) -> list[VerdictRecord]:
+    """Scan each (target, pattern set) claim over its pattern-free graphs up to n_max.
+
+    Returns one record per claim, in order, as separate scans would give,
+    but from one ``walk_sets`` over the union of the distinct classes (sets
+    with the same ``form_key()`` share a class).  The walk runs first, and
+    each class's graphs are kept in walk order; each claim's ``_scan`` then
+    checks its class's graphs, so its ``elapsed_ms`` counts that claim's
+    checks only.  No claims, or an unknown target, is an error raised
+    before the walk starts.
+    """
+    claims = list(claims)
+    if not claims:
+        raise ValueError("scan_claims needs at least one claim")
+    keys = []
+    classes: dict[frozenset, PatternSet] = {}
+    for target, patterns in claims:
+        _check_target(target)
+        keys.append(patterns.form_key())
+        classes.setdefault(keys[-1], patterns)
+    streams: dict[frozenset, list[Graph]] = {key: [] for key in classes}
+    for g, live in walk_sets(n_max, list(classes.values()), workers):
+        for i, stream in enumerate(streams.values()):
+            if live >> i & 1:
+                stream.append(g)
+    records = []
+    for (target, patterns), key in zip(claims, keys):
+        left, right = TARGETS[target]
+
+        def check(g, counts, left=left, right=right):
+            return () if left(g) == right(g) else (to_graph6(g),)
+
+        records.append(_scan(f"{target}:{patterns.label}", n_max, streams[key], check))
+    return records
+
+
 def verify_pattern_set(patterns: PatternSet, n_max: int, target: str = "kappa_prime_delta",
                        workers: int = 1) -> VerdictRecord:
-    """Scan all connected pattern-free graphs up to n_max against the target equality."""
-    _check_target(target)
-    left, right = TARGETS[target]
-
-    def check(g, counts):
-        return () if left(g) == right(g) else (to_graph6(g),)
-
-    return _scan(f"{target}:{patterns.label}", n_max, patterns, workers, check)
+    """Scan all connected pattern-free graphs up to n_max against the target
+    equality: the one-claim case of ``scan_claims``."""
+    return scan_claims([(target, patterns)], n_max, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -227,7 +257,7 @@ def condition_soundness(n_max: int, workers: int = 1) -> VerdictRecord:
         return [{"graph6": to_graph6(g), "condition": row.condition.name}
                 for row in rows if not row.sound]
 
-    return _scan(f"conditions:soundness:n<={n_max}", n_max, None, workers, check,
+    return _scan(f"conditions:soundness:n<={n_max}", n_max, walk(n_max, None, workers), check,
                  ("hypotheses_fired",))
 
 
@@ -244,7 +274,8 @@ def cut_interior_sweep(n_max: int, workers: int = 1) -> VerdictRecord:
         counts["gap_graphs"] += 1
         return () if cut_interior_property(g) else (to_graph6(g),)
 
-    return _scan(f"cut_interior:n<={n_max}", n_max, None, workers, check, ("gap_graphs",))
+    return _scan(f"cut_interior:n<={n_max}", n_max, walk(n_max, None, workers), check,
+                 ("gap_graphs",))
 
 
 # ---------------------------------------------------------------------------

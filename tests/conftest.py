@@ -9,6 +9,7 @@ from edgeconn import (
     connected_level,
     parse_pattern_set,
     to_graph6,
+    walk_sets,
 )
 from edgeconn.verify import _scan
 
@@ -31,29 +32,36 @@ def levels8():
 
 @pytest.fixture(scope="session")
 def order_nine_passes():
-    """One walk to order 9 per characterized kappa' = delta set, shared by the
-    order-nine stream pins and the acceptance battery.
+    """One walk_sets(9, ...) pass over the characterized kappa' = delta sets,
+    shared by the order-nine stream pins and the acceptance battery.
 
     Maps each set's text to (free graphs per order n = 2..9, sha256 prefix of
     their graph6 lines each followed by a newline, the VerdictRecord of the
     kappa' = delta scan).  The record comes from ``verify._scan``, the loop
-    ``verify_pattern_set`` runs, with the same check; the check also counts
-    and hashes each graph it is handed.
+    ``scan_claims`` runs, over the set's graphs of the union walk, in walk
+    order, with the same check; the check also counts and hashes each graph
+    it is handed.
     """
     target = "kappa_prime_delta"
     left, right = TARGETS[target]
+    texts = (CHARACTERIZED_SINGLE[target], *CHARACTERIZED_PAIRS[target])
+    sets = [parse_pattern_set(text) for text in texts]
+    streams = [[] for _ in sets]
+    for g, live in walk_sets(9, sets):
+        for i, stream in enumerate(streams):
+            if live >> i & 1:
+                stream.append(g)
     passes = {}
-    for text in (CHARACTERIZED_SINGLE[target], *CHARACTERIZED_PAIRS[target]):
-        patterns = parse_pattern_set(text)
+    for text, patterns, stream in zip(texts, sets, streams):
         counts = [0] * 8
-        stream = hashlib.sha256()
+        digest = hashlib.sha256()
 
         def check(g, _tallies):
             line = to_graph6(g)
             counts[g.n - 2] += 1
-            stream.update((line + "\n").encode("ascii"))
+            digest.update((line + "\n").encode("ascii"))
             return () if left(g) == right(g) else (line,)
 
-        rec = _scan(f"{target}:{patterns.label}", 9, patterns, 1, check)
-        passes[text] = (counts, stream.hexdigest()[:16], rec)
+        rec = _scan(f"{target}:{patterns.label}", 9, stream, check)
+        passes[text] = (counts, digest.hexdigest()[:16], rec)
     return passes

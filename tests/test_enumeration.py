@@ -24,6 +24,7 @@ from edgeconn import (
     star,
     to_graph6,
     walk,
+    walk_sets,
     write_graph6_stream,
 )
 from edgeconn import enumeration
@@ -224,7 +225,7 @@ class TestExpansion:
         for pn in range(1, 8):
             for parent in levels7[pn]:
                 want, met = reference_expand(parent)
-                assert [g for g, _ in enumeration._expand(parent, ())] == want, to_graph6(parent)
+                assert [g for g, _, _ in enumeration._expand(parent, ())] == want, to_graph6(parent)
                 collisions.update((pn + 1, kept, dropped) for kept, dropped in met)
         # the lazily labelled branch is needed: a child accepted through the
         # new vertex duplicates one accepted through another vertex
@@ -274,7 +275,7 @@ class TestExpansion:
         for _ in range(2, 9):
             got, want = [], []
             for parent in level:
-                got.extend(g for g, _ in enumeration._expand(parent, patterns))
+                got.extend(g for g, _, _ in enumeration._expand(parent, [patterns], None, 1))
                 want.extend(reference_expand(parent, patterns)[0])
             assert got == want, (text, len(level))
             level = want
@@ -523,21 +524,22 @@ class TestFloorLemma:
 
 class TestLabelCarry:
     def test_carried_labels_are_fresh_labels(self):
-        # a free walk's level holds (graph, label) pairs; every label _expand
-        # carries must be the one labelling the graph afresh gives, since the
-        # next order expands the graph from it
+        # a walk's level holds (graph, label, live) triples; every label
+        # _expand carries must be the one labelling the graph afresh gives,
+        # since the next order expands the graph from it; one level of the
+        # union of the 10 characterized classes at a time
         sets = {ps.form_key(): _as_graphs(ps) for t in TARGETS for ps in characterized_sets(t)}
         assert len(sets) == 10
+        sets = list(sets.values())
+        level = [(g, None, (1 << len(sets)) - 1) for g in connected_level(1)]
         carried = Counter()
-        for patterns in sets.values():
-            level = [(g, None) for g in connected_level(1) if is_free(g, patterns)]
-            for _ in range(2, 9):
-                level = enumeration._next_level(level, patterns, 1)
-                for g, label in level:
-                    if label is not None:
-                        _, enc, autos = _canonical_rows(g.n, g.adj)
-                        assert label == (enc, tuple(autos)), to_graph6(g)
-                        carried[g.n] += 1
+        for _ in range(2, 9):
+            level = enumeration._next_level(level, sets, 1)
+            for g, label, _ in level:
+                if label is not None:
+                    _, enc, autos = _canonical_rows(g.n, g.adj)
+                    assert label == (enc, tuple(autos)), to_graph6(g)
+                    carried[g.n] += 1
         # labels are carried at every order from 3, where children first
         # need labelling, so parents of orders 3..7 are expanded with them
         assert all(carried[n] > 0 for n in range(3, 9)), carried
@@ -651,6 +653,50 @@ class TestWalk:
             walk(n_max)
         with pytest.raises(GraphError, match="scans support 2 <= n_max <= 9"):
             walk(n_max, star(3))
+        with pytest.raises(GraphError, match="scans support 2 <= n_max <= 9"):
+            walk_sets(n_max, [star(3)])
+
+
+def characterized_classes():
+    """The 10 distinct classes of the 14 characterized sets, first text first."""
+    sets = {ps.form_key(): ps for t in TARGETS for ps in characterized_sets(t)}
+    assert len(sets) == 10
+    return list(sets.values())
+
+
+class TestWalkSets:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_class_streams_are_the_walks(self, workers, monkeypatch):
+        # the union lemma: the graphs with bit i, in union walk order, are
+        # walk(8, sets[i]); the union has 110 graphs at order 6 and 643 at
+        # order 7, so with 2 workers orders 7 and 8 go through the pool
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        sets = characterized_classes()
+        got = [[] for _ in sets]
+        for g, live in walk_sets(8, sets, workers):
+            assert live, to_graph6(g)
+            for i, stream in enumerate(got):
+                if live >> i & 1:
+                    stream.append(g)
+        for ps, stream in zip(sets, got):
+            assert stream == list(walk(8, ps)), ps.label
+
+    def test_live_bits_are_freeness(self, levels7):
+        # on every connected graph of orders 2..7, the union walk holds it
+        # exactly when it is free of some set, with bit i its freeness of set i
+        sets = characterized_classes()
+        live = dict(walk_sets(7, sets))
+        for n in range(2, 8):
+            for g in levels7[n]:
+                want = sum(1 << i for i, ps in enumerate(sets) if is_free(g, ps))
+                assert live.pop(g, 0) == want, to_graph6(g)
+        assert live == {}
+
+    def test_no_sets_raises_at_call(self, monkeypatch):
+        # refused when the walk is made, before any level is expanded
+        monkeypatch.setattr(enumeration, "_next_level", None)
+        with pytest.raises(GraphError, match="at least one pattern set"):
+            walk_sets(8, [])
 
 
 class TestStreams:

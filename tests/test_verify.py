@@ -27,10 +27,14 @@ from edgeconn import (
     pattern_equivalent,
     pattern_set,
     pattern_preceq,
+    scan_claims,
     to_graph6,
     verify_pattern_set,
+    walk,
     witness_sweep,
 )
+from edgeconn import verify
+from edgeconn.verify import _scan
 
 
 class TestTargets:
@@ -117,6 +121,38 @@ class TestVerdicts:
         rec_high = verify_pattern_set(high, 6)
         assert rec_low.graphs_scanned <= rec_high.graphs_scanned
         assert set(rec_low.counterexamples) <= set(rec_high.counterexamples)
+
+
+def without_timing(record):
+    return {k: v for k, v in record.as_dict().items() if k != "elapsed_ms"}
+
+
+class TestScanClaims:
+    def test_campaign_claims_match_per_claim_scans(self):
+        # the 14 campaign claims (10 distinct classes) from one union walk,
+        # against each claim's own scan over walk(8, set)
+        claims = [(t, ps) for t in TARGETS for ps in characterized_sets(t)]
+        assert len(claims) == 14
+        got = scan_claims(claims, 8)
+        want = []
+        for target, ps in claims:
+            left, right = TARGETS[target]
+
+            def check(g, counts, left=left, right=right):
+                return () if left(g) == right(g) else (to_graph6(g),)
+
+            want.append(_scan(f"{target}:{ps.label}", 8, walk(8, ps), check))
+        assert [without_timing(r) for r in got] == [without_timing(r) for r in want]
+
+    @pytest.mark.parametrize("claims, message", [
+        ([], "at least one claim"),
+        ([("kappa_prime_delta", parse_pattern_set("P4")),
+          ("kappa_prime", parse_pattern_set("P5"))], "unknown target"),
+    ], ids=["no-claims", "unknown-target"])
+    def test_bad_claims_raise_before_the_walk(self, claims, message, monkeypatch):
+        monkeypatch.setattr(verify, "walk_sets", None)
+        with pytest.raises(ValueError, match=message):
+            scan_claims(claims, 8)
 
 
 class TestWitnessMining:
