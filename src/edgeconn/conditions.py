@@ -97,15 +97,22 @@ class ImplicationRow:
         return not self.holds or self.kappa_prime_equals_delta
 
 
+# every possible row, built once: _ROWS[equality][i][holds] is the row of
+# the i-th condition; rows are frozen, so graphs can share them
+_ROWS = tuple(
+    tuple((ImplicationRow(cond, False, equality), ImplicationRow(cond, True, equality))
+          for cond in Condition)
+    for equality in (False, True)
+)
+
+
 def condition_implication_rows(g: Graph) -> list[ImplicationRow]:
     """Evaluate all eight hypotheses against the actual equality.
 
     A row with holds=True and equality False would witness an implementation
-    bug; the sweep tests assert no such row ever appears.
+    bug; the sweep tests assert no such row ever appears.  The rows come from
+    a table of all 32 possible ones; the list is new on every call.
     """
     _require_cut_domain(g, "a sufficient condition")
     equality = edge_connectivity(g) == min_degree(g)
-    return [
-        ImplicationRow(cond, holds, equality)
-        for cond, holds in zip(Condition, _hypotheses(g))
-    ]
+    return [pair[holds] for pair, holds in zip(_ROWS[equality], _hypotheses(g))]

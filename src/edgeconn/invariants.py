@@ -13,8 +13,13 @@ max(1, 2 delta + 2 - n): the smallest component C of G minus a minimum cut
 has |C| <= (n - kappa) / 2 and a vertex of degree at most |C| - 1 + kappa,
 so kappa >= 2 delta + 2 - n on every connected non-complete graph.
 Every flow starts from its common-neighbour paths: s -> w -> t for each w in
-N(s) & N(t), plus the edge s-t itself on the edge network.  They are
-disjoint, so they are a valid flow, and a flow whose common neighbours
+N(s) & N(t), plus the edge s-t itself on the edge network.  When they fall
+short of the flow's cap, greedy two-hop paths s -> a -> b -> t join them,
+each a in N(s) - N(t) - {t} and each b in N(t) - N(s) - {s}, no a or b
+used twice (``_bridges``).  The two-hop lemma: the a's are distinct, the b's are
+distinct, and the two sets meet neither each other nor the common
+neighbours, so no two of these paths share an arc, or on the split network
+an inner vertex, and together they are a valid flow.  A flow whose seeds
 already reach its cap is not run at all.  Augmenting from any valid flow
 reaches a maximum flow, and the residual reach of a maximum flow is the
 source side of the least minimum cut, the same for every maximum flow; so
@@ -104,13 +109,66 @@ def _unit_flow(arc, s: int, t: int, cap: int, paths=()) -> tuple[int, int]:
     return value, reach
 
 
-def _edge_paths(adj, s: int, t: int) -> list[tuple[int, ...]]:
-    """The edge network's paths s -> w -> t, one for each common neighbour w
-    of s and t, and the edge s-t if there is one: pairwise edge-disjoint."""
-    paths = [(w, t) for w in _bits(adj[s] & adj[t])]
-    if adj[s] >> t & 1:
+def _bridges(adj, left: int, right: int) -> list[tuple[int, int]]:
+    """Greedy vertex-disjoint edges (a, b) with a in ``left``, b in ``right``.
+
+    Scans ``left`` in ascending order and pairs each a with the least b in
+    ``adj[a] & right`` that no earlier a took.  The masks must be disjoint.
+    """
+    pairs = []
+    for a in _bits(left):
+        hit = adj[a] & right
+        if hit:
+            low = hit & -hit
+            right ^= low
+            pairs.append((a, low.bit_length() - 1))
+    return pairs
+
+
+def _edge_paths(adj, s: int, t: int, cap: int) -> list[tuple[int, ...]] | None:
+    """Pairwise edge-disjoint s-t paths of the edge network to seed a flow
+    capped at ``cap``, or None when they reach ``cap`` (the flow would
+    return ``cap`` and need not run).
+
+    The paths s -> w -> t, one for each common neighbour w of s and t, and
+    the edge s-t if there is one; then, if these fall short of ``cap``, the
+    two-hop paths s -> a -> b -> t for the ``_bridges`` from
+    N(s) - N(t) - {t} to N(t) - N(s) - {s}.
+    """
+    ns, nt = adj[s], adj[t]
+    common = ns & nt
+    edge = ns >> t & 1
+    have = common.bit_count() + edge
+    if have >= cap:
+        return None
+    hops = _bridges(adj, ns & ~nt & ~(1 << t), nt & ~ns & ~(1 << s))
+    if have + len(hops) >= cap:
+        return None
+    paths = [(w, t) for w in _bits(common)]
+    if edge:
         paths.append((t,))
-    return paths
+    return paths + [(a, b, t) for a, b in hops]
+
+
+def _split_paths(adj, x: int, y: int, cap: int) -> list[tuple[int, ...]] | None:
+    """Internally disjoint paths 2x+1 -> 2y of the vertex-split network for
+    nonadjacent x and y to seed a flow capped at ``cap``, or None when they
+    reach ``cap``.
+
+    The paths 2x+1 -> 2w -> 2w+1 -> 2y, one for each common neighbour w;
+    then, if these fall short of ``cap``, the paths 2x+1 -> 2a -> 2a+1 ->
+    2b -> 2b+1 -> 2y for the ``_bridges`` from N(x) - N(y) to N(y) - N(x).
+    """
+    nx, ny = adj[x], adj[y]
+    common = nx & ny
+    have = common.bit_count()
+    if have >= cap:
+        return None
+    hops = _bridges(adj, nx & ~ny, ny & ~nx)
+    if have + len(hops) >= cap:
+        return None
+    return ([(2 * w, 2 * w + 1, 2 * y) for w in _bits(common)]
+            + [(2 * a, 2 * a + 1, 2 * b, 2 * b + 1, 2 * y) for a, b in hops])
 
 
 def _require_cut_domain(g: Graph, what: str):
@@ -133,10 +191,11 @@ def edge_connectivity(g: Graph) -> int:
     of D that dominates that vertex lies on the same side.  D therefore meets
     both sides, and the answer is min(delta, lambda(0, t) for t in D - {0}).
     Each flow is capped at the best value so far, which starts at delta, and
-    starts from the common-neighbour paths of 0 and t (with the edge 0-t if
-    there is one).  A flow whose paths already reach the cap is skipped, as
-    its capped answer is the cap; otherwise augmenting from those paths
-    reaches the same maximum flow value as augmenting from nothing.
+    starts from ``_edge_paths``: the common-neighbour paths of 0 and t, then
+    the two-hop ones if those fall short of the cap.  A flow whose seeds
+    already reach the cap is skipped, as its capped answer is the cap;
+    otherwise augmenting from them reaches the same maximum flow value as
+    augmenting from nothing.
     """
     _require_cut_domain(g, "edge connectivity")
     adj = g.adj
@@ -146,8 +205,8 @@ def edge_connectivity(g: Graph) -> int:
         if dominated >> t & 1:
             continue
         dominated |= adj[t] | 1 << t
-        paths = _edge_paths(adj, 0, t)
-        if len(paths) < best:
+        paths = _edge_paths(adj, 0, t, best)
+        if paths is not None:
             best = _unit_flow(adj, 0, t, best, paths)[0]
     return best
 
@@ -182,20 +241,20 @@ def min_edge_cut(g: Graph) -> CutCertificate:
 
     Ties break by the lexicographically least sink whose flow attains the
     minimum; side1 is then the residual-reachable side of the source.  Each
-    flow starts from the common-neighbour paths of 0 and t (with the edge
-    0-t if there is one), and is skipped when they already reach the best
-    value so far, since it could not undercut it.  The residual reach of a
-    maximum flow is the source side of the least minimum cut whatever flow
-    the search started from, so the sides, the cut and the tie-break are
-    those of unseeded flows.
+    flow starts from ``_edge_paths`` of 0 and t (common neighbours, the edge
+    0-t, then two-hop paths if those fall short), and is skipped when they
+    already reach the best value so far, since it could not undercut it.
+    The residual reach of a maximum flow is the source side of the least
+    minimum cut whatever flow the search started from, so the sides, the
+    cut and the tie-break are those of unseeded flows.
     """
     _require_cut_domain(g, "an edge cut")
     # every lambda(0, t) is below n; a flow capped at the best so far cannot
     # undercut it, so the capped and skipped flows never change the certificate
     best = g.n
     for t in range(1, g.n):
-        paths = _edge_paths(g.adj, 0, t)
-        if len(paths) >= best:
+        paths = _edge_paths(g.adj, 0, t, best)
+        if paths is None:
             continue
         value, reach = _unit_flow(g.adj, 0, t, best, paths)
         if value < best:
@@ -232,39 +291,44 @@ def vertex_connectivity(g: Graph) -> int:
     |C| - 1 + kappa and |C| <= (n - kappa) / 2, so kappa >= 2 delta + 2 - n.
     A non-complete graph with delta = 1 or delta = n - 2 therefore runs no
     flow.  A complete graph has no nonadjacent pair, runs no flow and keeps
-    delta = n - 1.  Each flow starts from the paths x -> w -> y through the
-    common neighbours w of x and y, which are internally disjoint, and a
-    pair with at least best common neighbours is skipped, since its capped
-    flow would return best; augmenting from those paths reaches the same
-    maximum flow value as augmenting from nothing.
+    delta = n - 1.  Each flow starts from ``_split_paths``: the paths
+    x -> w -> y through the common neighbours w of x and y, then the two-hop
+    paths x -> a -> b -> y if those fall short of the cap, all internally
+    disjoint.  A pair whose seeds reach best is skipped, since its capped
+    flow would return best; otherwise augmenting from them reaches the same
+    maximum flow value as augmenting from nothing.  The split network is
+    built only when the first flow runs.
     """
     if not is_connected(g):
         raise GraphError("vertex connectivity is defined here for connected graphs")
     adj = g.adj
     n = g.n
-    v = min(range(n), key=lambda u: (adj[u].bit_count(), u))
-    best = adj[v].bit_count()
+    deg = [row.bit_count() for row in adj]
+    best = min(deg)
+    v = deg.index(best)
     floor = max(1, 2 * best + 2 - n)
     if best == floor:
         return best
-    # the vertex-split network: vertex w becomes the arc 2w -> 2w+1 and each
-    # edge wu the arcs 2w+1 -> 2u and 2u+1 -> 2w, so for nonadjacent x, y a
-    # flow 2x+1 -> 2y counts internally disjoint x-y paths
-    arc = [0] * (2 * n)
-    for w in range(n):
-        arc[2 * w] = 1 << (2 * w + 1)
-        for u in _bits(adj[w]):
-            arc[2 * w + 1] |= 1 << (2 * u)
+    arc = None
     pairs = [(v, u) for u in _bits(((1 << n) - 1) & ~adj[v] & ~(1 << v))]
     for x in _bits(adj[v]):
         pairs += [(x, y) for y in _bits(adj[v] & ~adj[x] & ~((2 << x) - 1))]
     for x, y in pairs:
         # a flow capped at best returns min(best, kappa(x, y)), which is best
-        # when x and y have best common neighbours
-        common = adj[x] & adj[y]
-        if common.bit_count() >= best:
+        # when the seeds already number best
+        paths = _split_paths(adj, x, y, best)
+        if paths is None:
             continue
-        paths = [(2 * w, 2 * w + 1, 2 * y) for w in _bits(common)]
+        if arc is None:
+            # the vertex-split network: vertex w becomes the arc 2w -> 2w+1
+            # and each edge wu the arcs 2w+1 -> 2u and 2u+1 -> 2w, so for
+            # nonadjacent x, y a flow 2x+1 -> 2y counts internally disjoint
+            # x-y paths
+            arc = [0] * (2 * n)
+            for w in range(n):
+                arc[2 * w] = 1 << (2 * w + 1)
+                for u in _bits(adj[w]):
+                    arc[2 * w + 1] |= 1 << (2 * u)
         best = _unit_flow(arc, 2 * x + 1, 2 * y, best, paths)[0]
         if best == floor:
             break

@@ -1,7 +1,8 @@
 """Built-in cross-checks of the fast paths against the reference oracles.
 
-Four case groups: cut invariants versus brute-force cuts on every connected
-graph through order six, generator counts versus the permutation-orbit
+Four case groups: cut invariants (kappa', kappa and the minimum edge cut
+certificate's value) versus brute-force cuts on every connected graph
+through order six, generator counts versus the permutation-orbit
 count, uniqueness of the bowtie degree sequence, and the degree sequences
 of the graphs that vocabulary tokens name.  Each case reports an id, a
 verdict, and a short detail line, so failures name what broke.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from .atlas import parse_pattern_token
 from .enumeration import connected_level, walk
-from .invariants import edge_connectivity, vertex_connectivity
+from .invariants import edge_connectivity, min_edge_cut, vertex_connectivity
 from .iso import canonical_form
 from .graphs import to_graph6
 from .oracles import (
@@ -46,8 +47,12 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     bad = None
     for g in walk(6):
         total += 1
-        if edge_connectivity(g) != edge_cut_oracle(g):
+        cut = edge_cut_oracle(g)
+        if edge_connectivity(g) != cut:
             bad = f"edge cut mismatch on {to_graph6(g)}"
+            break
+        if min_edge_cut(g).value != cut:
+            bad = f"cut certificate mismatch on {to_graph6(g)}"
             break
         if vertex_connectivity(g) != vertex_cut_oracle(g):
             bad = f"vertex cut mismatch on {to_graph6(g)}"

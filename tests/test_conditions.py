@@ -1,5 +1,6 @@
 """Eight sufficient degree/diameter hypotheses and their soundness."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,20 +9,25 @@ from edgeconn import (
     CONDITION_NAMES,
     Condition,
     GraphError,
+    ImplicationRow,
     bridged_triangles,
     complete_bipartite,
     complete_graph,
     condition_holds,
     condition_implication_rows,
     cycle_graph,
+    edge_connectivity,
     from_edges,
     make_family_member,
+    min_degree,
     path_graph,
     star,
     to_graph6,
     walk,
 )
 from edgeconn.graphs import Graph
+
+from test_invariants import _gap_prone_graphs
 
 
 class TestSpotRows:
@@ -161,6 +167,22 @@ class TestSoundness:
         assert graphs == 995
         assert fired == FIRED_N7
         assert sum(fired.values()) == 2461
+
+    def test_shared_rows_equal_fresh_rows(self):
+        """The rows come from a shared table of the 32 possible ones: they equal
+        rows built here, each call returns a new list of the same row
+        objects, and rows stay frozen."""
+        gs = list(walk(6)) + _gap_prone_graphs(seed=9, count=200)
+        for g in gs:
+            equality = edge_connectivity(g) == min_degree(g)
+            fresh = [ImplicationRow(cond, condition_holds(cond, g), equality) for cond in Condition]
+            rows = condition_implication_rows(g)
+            assert rows == fresh, to_graph6(g)
+            again = condition_implication_rows(g)
+            assert again == rows and again is not rows
+            assert all(a is b for a, b in zip(again, rows))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rows[0].holds = not rows[0].holds
 
     def test_no_violations_small(self, levels6):
         stats = {cond: 0 for cond in Condition}

@@ -32,7 +32,8 @@ from edgeconn import (
     walk,
 )
 from edgeconn.graphs import Graph, _bits, is_connected
-from edgeconn.invariants import _edge_paths, _unit_flow
+from edgeconn import invariants
+from edgeconn.invariants import _edge_paths, _split_paths, _unit_flow
 from edgeconn.oracles import distance_matrix, edge_cut_oracle, vertex_cut_oracle
 
 from test_iso import graph_from_mask, labeled_graphs
@@ -219,20 +220,24 @@ class TestSecondRoute:
         assert (at_floor, gaps, between) == (5069, 1011, 389)
 
     def test_seeded_flows_match_unseeded(self):
-        """A flow seeded with its common-neighbour paths agrees with the
-        unseeded flow at every cap from 1 to n.  Where the paths reach the
-        cap, the unseeded maximum flow is at least the cap, so skipping that
-        flow loses nothing; above it, the seeded value is min(cap, maximum
-        flow), and below the cap its reach is the unseeded reach.  kappa',
-        kappa and the cut certificate equal those that unseeded flows give."""
+        """A flow seeded as the code seeds it (``_edge_paths`` and
+        ``_split_paths``: common-neighbour paths, then two-hop ones) agrees
+        with the unseeded flow at every cap from 1 to n.  Where the paths
+        reach the cap, the unseeded maximum flow is at least the cap, so
+        skipping that flow loses nothing; above it, the seeded value is
+        min(cap, maximum flow), and below the cap its reach is the unseeded
+        reach.  kappa', kappa and the cut certificate equal those that
+        unseeded flows give."""
         gs = [g for g in walk(7) if g.n >= 2] + _gap_prone_graphs(seed=9, count=300)
         runs = skips = 0
         for g in gs:
             n, adj = g.n, g.adj
             split = _split_network(g)
-            cases = [(adj, s, t, _edge_paths(adj, s, t))
+            # each seed leaves s through its own neighbour, so fewer than n
+            # seeds exist, and at cap n the helpers return all of them
+            cases = [(adj, s, t, _edge_paths(adj, s, t, n))
                      for s in range(n) for t in range(n) if s != t]
-            cases += [(split, 2 * x + 1, 2 * y, [(2 * w, 2 * w + 1, 2 * y) for w in _bits(adj[x] & adj[y])])
+            cases += [(split, 2 * x + 1, 2 * y, _split_paths(adj, x, y, n))
                       for x in range(n) for y in range(n) if x != y and not g.has_edge(x, y)]
             for arc, s, t, paths in cases:
                 # every s-t flow is below n, so the cap-n call is the maximum flow
@@ -256,6 +261,29 @@ class TestSecondRoute:
             assert vertex_connectivity(g) == min(kappas, default=n - 1), to_graph6(g)
         # both the seeded runs and the skipped caps occur many times over
         assert runs > 100000 and skips > 100000, (runs, skips)
+
+    def test_flow_counts_pinned(self, monkeypatch):
+        """How many flows each entry point runs over walk(7).  The seeds skip
+        most of them (common-neighbour seeds alone ran 1 197, 214 and 2 838),
+        so a change that loses a seed shows here even though every value
+        stays the same."""
+        calls = 0
+        kernel = invariants._unit_flow
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(invariants, "_unit_flow", counted)
+        gs = list(walk(7))
+        got = {}
+        for fn in (vertex_connectivity, edge_connectivity, min_edge_cut):
+            calls = 0
+            for g in gs:
+                fn(g)
+            got[fn.__name__] = calls
+        assert got == {"vertex_connectivity": 191, "edge_connectivity": 55, "min_edge_cut": 2123}
 
 
 def _nx_graph(nx, g):
