@@ -85,6 +85,7 @@ from .verify import (
     cut_interior_sweep,
     intersect_characterizations,
     mine_witness,
+    mine_witnesses,
     scan_claims,
     verify_pattern_set,
     witness_sweep,

@@ -105,6 +105,11 @@ sets whose pattern the trace lemma finds in it, so bit i is exactly freeness
 of set i.  Isomorphic siblings share their live bits, so the sibling filter
 keeps, of each class, the child it keeps in the walk of any one set that
 class is free of, and each set's graphs come out in that walk's order.
+
+Drop lemma.  Dropping set j between two graphs leaves every other set's
+stream unchanged: the union lemma holds for any subset of the sets, since
+their classes' union is hereditary too, and clearing bit j everywhere keeps
+every other bit, so each remaining class is reached from its parent as before.
 """
 
 from __future__ import annotations
@@ -501,6 +506,10 @@ def walk_sets(n_max: int, sets, workers: int = 1) -> Iterator[tuple[Graph, int]]
     it was accepted is expanded without being labelled again.  The order
     bound, the worker count and the sets are checked when the walk is made,
     not on its first step.
+
+    ``send(mask)`` after a graph returns None and drops the sets of the bits
+    in ``mask`` (the drop lemma): a graph left with no bit is neither yielded
+    nor expanded, and the walk ends when none is left.
     """
     workers = _walk_bounds(n_max, workers)
     sets = [_as_graphs(patterns) for patterns in sets]
@@ -513,7 +522,17 @@ def walk_sets(n_max: int, sets, workers: int = 1) -> Iterator[tuple[Graph, int]]
         level = [(root, None, live)] if live else []
         for _ in range(2, n_max + 1):
             level = _next_level(level, sets, workers)
-            yield from ((g, bits) for g, _, bits in level)
+            gone = 0
+            for g, _, bits in level:
+                if gone and not (bits := bits & ~gone):
+                    continue
+                drop = yield g, bits
+                if drop:
+                    gone |= drop
+                    yield  # what ``send`` returns; the next graph goes to the next ``next``
+            if gone and not (level := [(g, lab, bits & ~gone) for g, lab, bits in level
+                                       if bits & ~gone]):
+                return
 
     return levels()
 

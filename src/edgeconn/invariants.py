@@ -16,14 +16,15 @@ Every flow starts from its common-neighbour paths: s -> w -> t for each w in
 N(s) & N(t), plus the edge s-t itself on the edge network.  When they fall
 short of the flow's cap, greedy two-hop paths s -> a -> b -> t join them,
 each a in N(s) - N(t) - {t} and each b in N(t) - N(s) - {s}, no a or b
-used twice (``_bridges``).  The two-hop lemma: the a's are distinct, the b's are
-distinct, and the two sets meet neither each other nor the common
-neighbours, so no two of these paths share an arc, or on the split network
-an inner vertex, and together they are a valid flow.  A flow whose seeds
-already reach its cap is not run at all.  Augmenting from any valid flow
-reaches a maximum flow, and the residual reach of a maximum flow is the
-source side of the least minimum cut, the same for every maximum flow; so
-seeding changes no value, no cut side and no certificate.  The
+used twice (``_bridges``); the split network's seeds are the same paths,
+each inner vertex w split into 2w -> 2w+1.  The two-hop lemma: the a's are
+distinct, the b's are distinct, and the two sets meet neither each other nor
+the common neighbours, so no two of these paths share an arc, or on the
+split network an inner vertex, and together they are a valid flow.  A flow
+whose seeds already reach its cap is not run at all.  Augmenting from any
+valid flow reaches a maximum flow, and the residual reach of a maximum flow
+is the source side of the least minimum cut, the same for every maximum
+flow; so seeding changes no value, no cut side and no certificate.  The
 clique number is a bitset branch and bound in plain vertex order, and
 chordality is simplicial elimination.  All are cheap at the orders this
 package scans (n well under a hundred).
@@ -151,24 +152,12 @@ def _edge_paths(adj, s: int, t: int, cap: int) -> list[tuple[int, ...]] | None:
 
 
 def _split_paths(adj, x: int, y: int, cap: int) -> list[tuple[int, ...]] | None:
-    """Internally disjoint paths 2x+1 -> 2y of the vertex-split network for
-    nonadjacent x and y to seed a flow capped at ``cap``, or None when they
-    reach ``cap``.
-
-    The paths 2x+1 -> 2w -> 2w+1 -> 2y, one for each common neighbour w;
-    then, if these fall short of ``cap``, the paths 2x+1 -> 2a -> 2a+1 ->
-    2b -> 2b+1 -> 2y for the ``_bridges`` from N(x) - N(y) to N(y) - N(x).
-    """
-    nx, ny = adj[x], adj[y]
-    common = nx & ny
-    have = common.bit_count()
-    if have >= cap:
-        return None
-    hops = _bridges(adj, nx & ~ny, ny & ~nx)
-    if have + len(hops) >= cap:
-        return None
-    return ([(2 * w, 2 * w + 1, 2 * y) for w in _bits(common)]
-            + [(2 * a, 2 * a + 1, 2 * b, 2 * b + 1, 2 * y) for a, b in hops])
+    """The split image of ``_edge_paths(adj, x, y, cap)`` for nonadjacent x
+    and y: internally disjoint paths 2x+1 -> 2y of the vertex-split network,
+    each inner vertex w as 2w -> 2w+1, or None when they reach ``cap``."""
+    paths = _edge_paths(adj, x, y, cap)
+    return None if paths is None else [
+        tuple(v for w in path[:-1] for v in (2 * w, 2 * w + 1)) + (2 * y,) for path in paths]
 
 
 def _require_cut_domain(g: Graph, what: str):
@@ -191,11 +180,8 @@ def edge_connectivity(g: Graph) -> int:
     of D that dominates that vertex lies on the same side.  D therefore meets
     both sides, and the answer is min(delta, lambda(0, t) for t in D - {0}).
     Each flow is capped at the best value so far, which starts at delta, and
-    starts from ``_edge_paths``: the common-neighbour paths of 0 and t, then
-    the two-hop ones if those fall short of the cap.  A flow whose seeds
-    already reach the cap is skipped, as its capped answer is the cap;
-    otherwise augmenting from them reaches the same maximum flow value as
-    augmenting from nothing.
+    starts from ``_edge_paths`` of 0 and t, or is skipped when they reach the
+    cap, as its capped answer is the cap.
     """
     _require_cut_domain(g, "edge connectivity")
     adj = g.adj
@@ -240,18 +226,16 @@ def min_edge_cut(g: Graph) -> CutCertificate:
     """Return a deterministic minimum edge cut certificate.
 
     Ties break by the lexicographically least sink whose flow attains the
-    minimum; side1 is then the residual-reachable side of the source.  Each
-    flow starts from ``_edge_paths`` of 0 and t (common neighbours, the edge
-    0-t, then two-hop paths if those fall short), and is skipped when they
-    already reach the best value so far, since it could not undercut it.
+    minimum; side1 is then the residual-reachable side of the source.  The
+    best value starts at delta + 1: lambda <= delta, so every flow that could
+    attain it is exact.  Each flow starts from ``_edge_paths`` of 0 and t, or
+    is skipped when they reach the best so far, as it could not undercut it.
     The residual reach of a maximum flow is the source side of the least
     minimum cut whatever flow the search started from, so the sides, the
     cut and the tie-break are those of unseeded flows.
     """
     _require_cut_domain(g, "an edge cut")
-    # every lambda(0, t) is below n; a flow capped at the best so far cannot
-    # undercut it, so the capped and skipped flows never change the certificate
-    best = g.n
+    best = min(row.bit_count() for row in g.adj) + 1
     for t in range(1, g.n):
         paths = _edge_paths(g.adj, 0, t, best)
         if paths is None:
@@ -291,13 +275,9 @@ def vertex_connectivity(g: Graph) -> int:
     |C| - 1 + kappa and |C| <= (n - kappa) / 2, so kappa >= 2 delta + 2 - n.
     A non-complete graph with delta = 1 or delta = n - 2 therefore runs no
     flow.  A complete graph has no nonadjacent pair, runs no flow and keeps
-    delta = n - 1.  Each flow starts from ``_split_paths``: the paths
-    x -> w -> y through the common neighbours w of x and y, then the two-hop
-    paths x -> a -> b -> y if those fall short of the cap, all internally
-    disjoint.  A pair whose seeds reach best is skipped, since its capped
-    flow would return best; otherwise augmenting from them reaches the same
-    maximum flow value as augmenting from nothing.  The split network is
-    built only when the first flow runs.
+    delta = n - 1.  Each flow starts from ``_split_paths`` of x and y, or is
+    skipped when they reach best, since its capped flow would return best.
+    The split network is built only when the first flow runs.
     """
     if not is_connected(g):
         raise GraphError("vertex connectivity is defined here for connected graphs")

@@ -5,11 +5,11 @@ invariant equalities": edge connectivity = minimum degree, vertex = edge
 connectivity, or vertex connectivity = minimum degree.  The scanner walks
 the connected pattern-free graphs up to a cutoff order, growing each order
 from the free graphs of the one below, one walk for all the claims of a
-scan, and records each equality violation as a graph6 counterexample.  The module also mines witnesses for pattern
-sets outside the characterized lists from the same walk, runs the
-sufficient-condition and minimum-cut sweeps over all connected graphs, and
-intersects two characterized lists into the candidates for the combined
-equality.
+scan, and records each equality violation as a graph6 counterexample.  It
+also mines witnesses for pairs outside the characterized lists, one walk for
+all the pairs, runs the sufficient-condition and minimum-cut sweeps over all
+connected graphs, and intersects two characterized lists into the candidates
+for the combined equality.
 """
 
 from __future__ import annotations
@@ -199,18 +199,28 @@ class WitnessRecord:
         }
 
 
-def mine_witness(pair: PatternSet, n_max: int, workers: int = 1) -> WitnessRecord | None:
-    """Find a connected pair-free graph with edge connectivity below delta.
-
-    Returns the first such graph of the pair-free walk, so one of least
-    order, or None when no witness of order <= n_max exists.
+def mine_witnesses(pairs, n_max: int, workers: int = 1) -> list[WitnessRecord | None]:
+    """Find, per pair, a connected pair-free graph with edge connectivity
+    below delta: the first of that pair's free walk, so one of least order,
+    or None when none of order <= n_max exists.  One ``walk_sets`` serves
+    every pair, and drops each at its witness; no pairs raises there.
     """
-    for g in walk(n_max, pair, workers):
-        kp = edge_connectivity(g)
-        dd = min_degree(g)
+    pairs = list(pairs)
+    found = [None] * len(pairs)
+    graphs = walk_sets(n_max, pairs, workers)
+    for g, live in graphs:
+        kp, dd = edge_connectivity(g), min_degree(g)
         if kp < dd:
-            return WitnessRecord(pair, to_graph6(g), kp, dd)
-    return None
+            for i, pair in enumerate(pairs):
+                if live >> i & 1:
+                    found[i] = WitnessRecord(pair, to_graph6(g), kp, dd)
+            graphs.send(live)
+    return found
+
+
+def mine_witness(pair: PatternSet, n_max: int, workers: int = 1) -> WitnessRecord | None:
+    """The one-pair case of ``mine_witnesses``."""
+    return mine_witnesses([pair], n_max, workers)[0]
 
 
 # the pairs just beyond the kappa' = delta boundary, in report order
@@ -218,7 +228,7 @@ WITNESS_PAIRS = ("H1,P6", "Z3,P6", "Z2,P7", "Z2,T1_1_4", "K1_4,P5", "K1_3,P5")
 
 
 def witness_sweep(n_max: int, workers: int = 1) -> list[dict]:
-    """Mine a witness for every pair of ``WITNESS_PAIRS``.
+    """Mine a witness for every pair of ``WITNESS_PAIRS`` in one walk.
 
     Returns one row per pair, in list order: the witness record plus its
     ``relation``, ``"strict-extension"`` when some characterized set is
@@ -236,10 +246,9 @@ def witness_sweep(n_max: int, workers: int = 1) -> list[dict]:
                     f"witness pair {pair.label} is at or below characterized set {c.label}"
                 )
     rows = []
-    for pair in pairs:
+    for pair, rec in zip(pairs, mine_witnesses(pairs, n_max, workers)):
         # the refusal above rules out pair <= c, so c <= pair is strict
         strict = any(pattern_preceq(c, pair) for c in bases)
-        rec = mine_witness(pair, n_max, workers)
         row = {"pair": pair.label, "witness": None} if rec is None else rec.as_dict()
         rows.append({**row, "relation": "strict-extension" if strict else "incomparable"})
     return rows

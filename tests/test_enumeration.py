@@ -698,6 +698,58 @@ class TestWalkSets:
         with pytest.raises(GraphError, match="at least one pattern set"):
             walk_sets(8, [])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dropped_set_leaves_the_other_streams(self, workers, monkeypatch):
+        # the drop lemma: dropping the set with the most order-6 graphs halfway
+        # through its order-6 graphs leaves every other stream equal to its
+        # walk, and the dropped bit never comes back; with 2 workers the
+        # filtered order-6 level still goes through the pool
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        sets = characterized_classes()
+        sixes = [sum(g.n == 6 for g in walk(6, ps)) for ps in sets]
+        j = sixes.index(max(sixes))
+        got = [[] for _ in sets]
+        seen = dropped = 0
+        graphs = walk_sets(8, sets, workers)
+        for g, live in graphs:
+            assert live and not live & dropped, to_graph6(g)
+            for i, stream in enumerate(got):
+                if live >> i & 1:
+                    stream.append(g)
+            if g.n == 6 and live >> j & 1:
+                seen += 1
+                if seen == sixes[j] // 2:
+                    assert graphs.send(1 << j) is None
+                    dropped = 1 << j
+        # set j's stream stops where it was dropped
+        assert dropped and got[j] == list(walk(8, sets[j]))[:len(got[j])]
+        assert got[j][-1].n == 6 and sum(g.n == 6 for g in got[j]) == sixes[j] // 2
+        for i, (ps, stream) in enumerate(zip(sets, got)):
+            if i != j:
+                assert stream == list(walk(8, ps)), ps.label
+
+    def test_dropping_every_set_ends_the_walk(self, monkeypatch):
+        # once no bit is left the walk ends: no graph after the send, and no
+        # level built past the one it was sent in
+        calls = 0
+        next_level = enumeration._next_level
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return next_level(*args)
+
+        monkeypatch.setattr(enumeration, "_next_level", counted)
+        sets = characterized_classes()
+        graphs = walk_sets(8, sets)
+        for g, _ in graphs:
+            if g.n == 5:
+                graphs.send((1 << len(sets)) - 1)
+                break
+        assert calls == 4
+        assert list(graphs) == []
+        assert calls == 4
+
 
 class TestStreams:
     def test_round_trip(self, tmp_path, levels6):

@@ -23,6 +23,7 @@ from edgeconn import (
     is_free,
     min_degree,
     mine_witness,
+    mine_witnesses,
     parse_pattern_set,
     pattern_equivalent,
     pattern_set,
@@ -33,8 +34,8 @@ from edgeconn import (
     walk,
     witness_sweep,
 )
-from edgeconn import verify
-from edgeconn.verify import _scan
+from edgeconn import enumeration, verify
+from edgeconn.verify import WITNESS_PAIRS, _scan
 
 
 class TestTargets:
@@ -186,6 +187,51 @@ class TestWitnessMining:
         b = mine_witness(parse_pattern_set("H1,P6"), 8)
         assert a is not None and b is not None
         assert a.witness == b.witness
+
+
+class TestMineWitnesses:
+    def test_each_pair_gets_the_first_gap_graph_of_its_walk(self):
+        pairs = [parse_pattern_set(text) for text in WITNESS_PAIRS]
+        got = mine_witnesses(pairs, 8)
+        assert len(got) == len(pairs)
+        for pair, rec in zip(pairs, got):
+            first = next(g for g in walk(8, pair) if edge_connectivity(g) < min_degree(g))
+            assert rec is not None, pair.label
+            assert (rec.pair, rec.witness, rec.kappa_prime, rec.delta) == (
+                pair, to_graph6(first), edge_connectivity(first), min_degree(first))
+
+    def test_found_and_missing_pairs_keep_their_places(self):
+        # at order 6 only the pairs whose least witness is EqhO have one
+        got = mine_witnesses([parse_pattern_set(text) for text in WITNESS_PAIRS], 6)
+        assert [None if rec is None else rec.witness for rec in got] == [
+            None, "EqhO", None, None, "EqhO", "EqhO"]
+
+    def test_no_pairs_raises_before_the_walk(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_next_level", None)
+        with pytest.raises(GraphError, match="at least one pattern set"):
+            mine_witnesses([], 8)
+
+    def test_witness_sweep_is_one_walk_that_stops_at_the_last_witness(self, monkeypatch):
+        # the last least witness has order 8, so a depth-9 sweep builds the
+        # levels of orders 2..8 once and never the order-9 level
+        walks = levels = 0
+        walk_sets, next_level = verify.walk_sets, enumeration._next_level
+
+        def counted_walk(*args):
+            nonlocal walks
+            walks += 1
+            return walk_sets(*args)
+
+        def counted_level(*args):
+            nonlocal levels
+            levels += 1
+            return next_level(*args)
+
+        monkeypatch.setattr(verify, "walk_sets", counted_walk)
+        monkeypatch.setattr(enumeration, "_next_level", counted_level)
+        rows = witness_sweep(9)
+        assert all(row["witness"] is not None for row in rows)
+        assert (walks, levels) == (1, 7)
 
 
 class TestWitnessRecordValidation:
