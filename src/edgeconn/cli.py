@@ -266,7 +266,7 @@ def _run_campaign(ns: argparse.Namespace) -> int:
     """Run the six campaign sections in order, one JSON report each under --out-dir.
 
     The sections: the embedded selftest, exhaustive equality scans for every
-    characterized pattern set of all three targets (one walk over the union
+    characterized pattern set of all three targets (one pass over the union
     of their classes, ``scan_claims``), witness mining for the
     listed pairs just beyond the edge-connectivity boundary, the
     sufficient-condition soundness sweep, the minimum-cut interior sweep, and

@@ -4,12 +4,13 @@ A claim here is "every connected pattern-free graph satisfies one of three
 invariant equalities": edge connectivity = minimum degree, vertex = edge
 connectivity, or vertex connectivity = minimum degree.  The scanner walks
 the connected pattern-free graphs up to a cutoff order, growing each order
-from the free graphs of the one below, one walk for all the claims of a
-scan, and records each equality violation as a graph6 counterexample.  It
-also mines witnesses for pairs outside the characterized lists, one walk for
-all the pairs, runs the sufficient-condition and minimum-cut sweeps over all
-connected graphs, and intersects two characterized lists into the candidates
-for the combined equality.
+from the free graphs of the one below, in one walk and one pass of checks
+for all the claims of a scan, and records each equality violation as a
+graph6 counterexample.  It also mines witnesses for pairs outside the
+characterized lists, one walk for all the pairs, runs the
+sufficient-condition and minimum-cut sweeps over all connected graphs, and
+intersects two characterized lists into the candidates for the combined
+equality.
 """
 
 from __future__ import annotations
@@ -125,36 +126,41 @@ def scan_claims(claims, n_max: int, workers: int = 1) -> list[VerdictRecord]:
     """Scan each (target, pattern set) claim over its pattern-free graphs up to n_max.
 
     Returns one record per claim, in order, as separate scans would give,
-    but from one ``walk_sets`` over the union of the distinct classes (sets
-    with the same ``form_key()`` share a class).  The walk runs first, and
-    each class's graphs are kept in walk order; each claim's ``_scan`` then
-    checks its class's graphs, so its ``elapsed_ms`` counts that claim's
-    checks only.  No claims, or an unknown target, is an error raised
-    before the walk starts.
+    but from one ``_scan`` over one ``walk_sets`` of the claims' sets: bit i
+    of a graph's live bits is claim i.  Each graph is checked once, with each
+    invariant of ``TARGETS`` computed at most once for all its live claims.
+    A claim's record holds its own count and counterexamples, in walk order,
+    and the ``elapsed_ms`` of the whole pass, walk included.  No claims, or
+    an unknown target, is an error raised before the walk starts.
     """
     claims = list(claims)
     if not claims:
         raise ValueError("scan_claims needs at least one claim")
-    keys = []
-    classes: dict[frozenset, PatternSet] = {}
-    for target, patterns in claims:
+    for target, _ in claims:
         _check_target(target)
-        keys.append(patterns.form_key())
-        classes.setdefault(keys[-1], patterns)
-    streams: dict[frozenset, list[Graph]] = {key: [] for key in classes}
-    for g, live in walk_sets(n_max, list(classes.values()), workers):
-        for i, stream in enumerate(streams.values()):
+
+    def check(item, counts):
+        g, live = item
+        values = {}
+        bad = []
+        for i, (target, _) in enumerate(claims):
             if live >> i & 1:
-                stream.append(g)
-    records = []
-    for (target, patterns), key in zip(claims, keys):
-        left, right = TARGETS[target]
+                counts[i] += 1
+                left, right = pair = TARGETS[target]
+                for f in pair:
+                    if f not in values:
+                        values[f] = f(g)
+                if values[left] != values[right]:
+                    bad.append((i, to_graph6(g)))
+        return bad
 
-        def check(g, counts, left=left, right=right):
-            return () if left(g) == right(g) else (to_graph6(g),)
-
-        records.append(_scan(f"{target}:{patterns.label}", n_max, streams[key], check))
-    return records
+    walked = _scan(f"claims:n<={n_max}", n_max,
+                   walk_sets(n_max, [patterns for _, patterns in claims], workers), check,
+                   range(len(claims)))
+    counts = dict(walked.tallies)
+    return [VerdictRecord(f"{target}:{patterns.label}", n_max, counts[i], walked.elapsed_ms,
+                          tuple(g6 for j, g6 in walked.counterexamples if j == i))
+            for i, (target, patterns) in enumerate(claims)]
 
 
 def verify_pattern_set(patterns: PatternSet, n_max: int, target: str = "kappa_prime_delta",

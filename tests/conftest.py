@@ -39,8 +39,8 @@ def order_nine_passes():
     their graph6 lines each followed by a newline, the VerdictRecord of the
     kappa' = delta scan).  The record comes from ``verify._scan``, the loop
     ``scan_claims`` runs, over the set's graphs of the union walk, in walk
-    order, with the same check; the check also counts and hashes each graph
-    it is handed.
+    order, with the target's equality as the check; the check also counts
+    and hashes each graph it is handed.
     """
     target = "kappa_prime_delta"
     left, right = TARGETS[target]

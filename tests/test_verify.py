@@ -128,6 +128,19 @@ def without_timing(record):
     return {k: v for k, v in record.as_dict().items() if k != "elapsed_ms"}
 
 
+def per_claim_scans(claims, n_max):
+    """Each claim's own ``_scan`` over ``walk(n_max, set)``, with the target's check."""
+    records = []
+    for target, ps in claims:
+        left, right = TARGETS[target]
+
+        def check(g, counts, left=left, right=right):
+            return () if left(g) == right(g) else (to_graph6(g),)
+
+        records.append(_scan(f"{target}:{ps.label}", n_max, walk(n_max, ps), check))
+    return records
+
+
 class TestScanClaims:
     def test_campaign_claims_match_per_claim_scans(self):
         # the 14 campaign claims (10 distinct classes) from one union walk,
@@ -135,15 +148,63 @@ class TestScanClaims:
         claims = [(t, ps) for t in TARGETS for ps in characterized_sets(t)]
         assert len(claims) == 14
         got = scan_claims(claims, 8)
-        want = []
-        for target, ps in claims:
-            left, right = TARGETS[target]
+        assert [without_timing(r) for r in got] == [
+            without_timing(r) for r in per_claim_scans(claims, 8)]
+        # mixed claims with violations, a set under two targets and a
+        # reordered duplicate, so a wrong split of the one pass shows
+        mixed = [(t, parse_pattern_set(text)) for t, text in (
+            ("kappa_prime_delta", "K1_3,P5"),
+            ("kappa_delta", "P4"),
+            ("kappa_kappa_prime", "P4,H0"),
+            ("kappa_prime_delta", "H1,P6"),
+            ("kappa_kappa_prime", "P4"),
+            ("kappa_delta", "H0,P4"),
+        )]
+        got = scan_claims(mixed, 7)
+        assert [without_timing(r) for r in got] == [
+            without_timing(r) for r in per_claim_scans(mixed, 7)]
+        assert [r.counterexamples for r in (got[0], got[3])] == [
+            ("EqhO", "FqhTO"), ("FqIPO", "FqHPO")]
+        for rec in (got[1], got[4]):
+            assert len(rec.counterexamples) == 22
+            assert rec.counterexamples[:2] == ("Dug", "Esqo")
+        assert len({r.elapsed_ms for r in got}) == 1
 
-            def check(g, counts, left=left, right=right):
-                return () if left(g) == right(g) else (to_graph6(g),)
+    def test_one_pass_computes_each_invariant_once_per_graph(self, monkeypatch):
+        # the 14 campaign claims at n <= 7 from one _scan over one walk_sets,
+        # with no class dedupe; separate per-claim checks make 2 379, 2 124
+        # and 733 calls of kappa', delta and kappa
+        calls = {}
+        wrapped = {}
 
-            want.append(_scan(f"{target}:{ps.label}", 8, walk(8, ps), check))
-        assert [without_timing(r) for r in got] == [without_timing(r) for r in want]
+        def counted(f):
+            if f not in wrapped:
+                def g(graph):
+                    calls[f.__name__] = calls.get(f.__name__, 0) + 1
+                    return f(graph)
+                wrapped[f] = g
+            return wrapped[f]
+
+        for key, entry in TARGETS.items():
+            monkeypatch.setitem(verify.TARGETS, key, tuple(map(counted, entry)))
+        entries = {"walk_sets": 0, "_scan": 0, "form_key": 0}
+
+        def entry_counted(name, fn):
+            def g(*args, **kwargs):
+                entries[name] += 1
+                return fn(*args, **kwargs)
+            return g
+
+        for name in ("walk_sets", "_scan"):
+            monkeypatch.setattr(verify, name, entry_counted(name, getattr(verify, name)))
+        monkeypatch.setattr(verify.PatternSet, "form_key",
+                            entry_counted("form_key", verify.PatternSet.form_key))
+        claims = [(t, ps) for t in TARGETS for ps in characterized_sets(t)]
+        records = scan_claims(claims, 7)
+        assert all(rec.held for rec in records)
+        assert calls == {"edge_connectivity": 783, "min_degree": 725,
+                         "vertex_connectivity": 318}
+        assert entries == {"walk_sets": 1, "_scan": 1, "form_key": 0}
 
     @pytest.mark.parametrize("claims, message", [
         ([], "at least one claim"),
