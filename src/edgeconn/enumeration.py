@@ -75,7 +75,9 @@ and conversely such an isomorphism extended by x -> z is an induced copy.  So
 the test depends only on the parent and the mask: the sets S and their
 allowed traces ``mask & S`` are listed once per parent, from a table of the
 labelled copies of each p - x (``iso._trace_table``), and each candidate
-costs set lookups instead of an induced-subgraph search of the child.
+costs one lookup per S instead of an induced-subgraph search of the child.
+Patterns of equal order look up the same sets S, so each S is keyed once
+for all of them.
 
 Floor lemma.  Let ``floor`` be the largest degree of a non-cut vertex of the
 parent.  A candidate whose mask has d vertices, with 2 <= d < floor, is
@@ -249,56 +251,40 @@ def _delete_rows(n: int, adj, v: int):
     return rows
 
 
-def _forbidden_traces(pn: int, adj, patterns) -> list[tuple[int, frozenset]]:
-    """The (S, traces) pairs of the trace lemma for a parent free of the patterns.
+def _live_traces(pn: int, adj, sets, live: int) -> list[tuple[int, dict[int, int]]]:
+    """The (S, traces) pairs of the trace lemma for a parent free of the sets
+    whose bits ``live`` holds.
 
-    A child whose new vertex sees ``mask`` holds a pattern exactly when
-    ``mask & S`` is one of the traces listed for some vertex mask S of the
-    parent (module docstring).  Each S of k - 1 vertices is keyed in
-    ascending label order, as the pattern's table is.  A pattern with more
-    than pn + 1 vertices fits in no child and is skipped.
-    """
-    found: dict[int, set[int]] = {}
-    for p in patterns:
-        k = p.n - 1
-        if k > pn:
-            continue
-        table = _trace_table(p)
-        for sub in combinations(range(pn), k):
-            local = table.get(_upper_key(adj, sub))
-            if local is None:
-                continue
-            s = 0
-            for v in sub:
-                s |= 1 << v
-            traces = found.setdefault(s, set())
-            for t in local:
-                g = 0
-                for i, v in enumerate(sub):
-                    g |= (t >> i & 1) << v
-                traces.add(g)
-    return [(s, frozenset(traces)) for s, traces in found.items()]
-
-
-def _live_traces(pn: int, adj, sets, live: int) -> list[tuple[int, list]]:
-    """The trace pairs of a parent free of the sets whose bits ``live`` holds,
-    one list per distinct pattern of those sets, with the bits to clear when
-    a child holds it.
-
-    Patterns held by the same live sets share one list, so a walk of one set
-    builds one list, as ``_forbidden_traces`` gives it; a pattern too large
-    for any child gives no list.
+    ``traces`` maps each trace ``mask & S`` that completes some live
+    pattern to the OR of the bits of the live sets holding one (module
+    docstring).  The live patterns are taken by order, and each S of k - 1
+    vertices is keyed once, in ascending label order as the tables are, for
+    every live pattern on k vertices.  A pattern with more than pn + 1
+    vertices fits in no child and is skipped.
     """
     holders: dict[Graph, int] = {}
     for i, patterns in enumerate(sets):
         if live >> i & 1:
             for p in patterns:
-                holders[p] = holders.get(p, 0) | 1 << i
-    groups: dict[int, list] = {}
+                if p.n <= pn + 1:
+                    holders[p] = holders.get(p, 0) | 1 << i
+    by_order: dict[int, list] = {}
     for p, bits in holders.items():
-        groups.setdefault(bits, []).append(p)
-    return [(bits, traces) for bits, ps in groups.items()
-            if (traces := _forbidden_traces(pn, adj, ps))]
+        by_order.setdefault(p.n - 1, []).append((_trace_table(p), bits))
+    out = []
+    for k, tables in by_order.items():
+        for sub in combinations(range(pn), k):
+            key = _upper_key(adj, sub)
+            found: dict[int, int] = {}
+            for table, bits in tables:
+                for t in table.get(key, ()):
+                    g = 0
+                    for i, v in enumerate(sub):
+                        g |= (t >> i & 1) << v
+                    found[g] = found.get(g, 0) | bits
+            if found:
+                out.append((sum(1 << v for v in sub), found))
+    return out
 
 
 def _expand(parent: Graph, sets=(), label=None,
@@ -349,12 +335,12 @@ def _expand(parent: Graph, sets=(), label=None,
         if not removable:
             continue
         child_live = live
-        if traced:
-            for bits, forbidden in traced:
-                if child_live & bits and any(mask & s in traces for s, traces in forbidden):
-                    child_live &= ~bits
+        for s, traces in traced:
+            child_live &= ~traces.get(mask & s, 0)
             if not child_live:
-                continue
+                break
+        if traced and not child_live:
+            continue
         rows = [padj[v] | new if mask >> v & 1 else padj[v] for v in range(pn)]
         rows.append(mask)
         if removable == new:
@@ -527,7 +513,7 @@ def walk_sets(n_max: int, sets, workers: int = 1) -> Iterator[tuple[Graph, int]]
                 if gone and not (bits := bits & ~gone):
                     continue
                 drop = yield g, bits
-                if drop:
+                if drop is not None:
                     gone |= drop
                     yield  # what ``send`` returns; the next graph goes to the next ``next``
             if gone and not (level := [(g, lab, bits & ~gone) for g, lab, bits in level

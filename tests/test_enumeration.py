@@ -21,6 +21,7 @@ from edgeconn import (
     parse_pattern_set,
     path_graph,
     read_graph6_stream,
+    scan_claims,
     star,
     to_graph6,
     walk,
@@ -31,6 +32,7 @@ from edgeconn import enumeration
 from edgeconn.graphs import Graph, induced, is_connected
 from edgeconn.iso import _as_graphs, _canonical_rows, _refine, _trace_table
 from edgeconn.oracles import connected_class_count_oracle
+from edgeconn.verify import WITNESS_PAIRS
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -547,44 +549,58 @@ class TestLabelCarry:
 
 class TestTraceLemma:
     @staticmethod
-    def compare_with_child_search(parent, patterns):
-        """The orbit-leader masks of one parent that the trace test rejects,
-        and all of them, counted; on each the induced-subgraph search of the
-        child must agree."""
+    def compare_with_child_search(parent, sets, live):
+        """The orbit-leader masks of one parent that the trace test rejects for
+        each set, and all of them, counted.
+
+        ``sets`` are pattern lists and ``live`` the bits of those the parent
+        is free of.  On each mask the bits the trace pairs of
+        ``_live_traces`` clear must be exactly the live sets whose pattern
+        the induced-subgraph search finds in the child."""
         pn = parent.n
-        forbidden = enumeration._forbidden_traces(pn, parent.adj, patterns)
+        traced = enumeration._live_traces(pn, parent.adj, sets, live)
         leaders = enumeration._orbit_leaders(pn, _canonical_rows(pn, parent.adj)[2])
-        rejected = 0
+        rejected = [0] * len(sets)
         for mask in leaders:
-            rows = child_rows(parent, mask)
-            want = not is_free(Graph(pn + 1, rows), patterns)
-            got = any(mask & s in traces for s, traces in forbidden)
+            child = Graph(pn + 1, child_rows(parent, mask))
+            want = sum(1 << i for i, patterns in enumerate(sets)
+                       if live >> i & 1 and not is_free(child, patterns))
+            got = 0
+            for s, traces in traced:
+                got |= traces.get(mask & s, 0)
             assert got == want, (to_graph6(parent), mask)
-            rejected += got
+            for i in range(len(sets)):
+                rejected[i] += got >> i & 1
         return rejected, len(leaders)
 
     @pytest.mark.parametrize("extra", [None, "P5", "P8"])
     def test_trace_test_is_the_child_search(self, extra):
-        # the characterized sets (14, of which 10 differ), P5 (deleting its
-        # middle vertex leaves 2K2, a disconnected p - x) and P8 (k - 1 > pn
-        # below order 7, so skipped there), each over the free parents of
-        # orders 1..7, the parents walk(8, set) expands
+        # None: the union of the 10 characterized classes and the 6 witness
+        # pairs, where several sets hold patterns of one order, over the
+        # parents of orders 1..6 of their union walk, each with its live
+        # bits, so one trace map serves several sets; P5 (deleting its middle vertex leaves 2K2, a disconnected
+        # p - x) and P8 (k - 1 > pn below order 7, so skipped there) each
+        # alone, over the free parents of orders 1..7, the parents walk(8,
+        # set) expands
         if extra is None:
-            sets = {ps.form_key(): _as_graphs(ps) for t in TARGETS for ps in characterized_sets(t)}
-            assert len(sets) == 10
-            cases = list(sets.values())
+            sets = characterized_classes() + [parse_pattern_set(text) for text in WITNESS_PAIRS]
+            sets = [_as_graphs(ps) for ps in sets]
+            root = connected_level(1)[0]
+            parents = [(root, sum(1 << i for i, ps in enumerate(sets) if is_free(root, ps)))]
+            parents += list(walk_sets(6, sets))
         else:
-            cases = [_as_graphs(parse_pattern_set(extra))]
-        for patterns in cases:
-            parents = [g for g in connected_level(1) if is_free(g, patterns)]
-            parents += list(walk(7, patterns))
-            rejected = Counter()
-            for g in parents:
-                rejected[g.n] += self.compare_with_child_search(g, patterns)[0]
-            if extra == "P8":
-                assert set(+rejected) == {7}
-            else:
-                assert rejected[7] > 0, [p.n for p in patterns]
+            sets = [_as_graphs(parse_pattern_set(extra))]
+            parents = [(g, 1) for g in connected_level(1) if is_free(g, sets[0])]
+            parents += [(g, 1) for g in walk(7, sets[0])]
+        rejected = [Counter() for _ in sets]
+        for g, live in parents:
+            for i, count in enumerate(self.compare_with_child_search(g, sets, live)[0]):
+                rejected[i][g.n] += count
+        if extra == "P8":
+            assert set(+rejected[0]) == {7}
+        else:
+            top = max(g.n for g, _ in parents)
+            assert all(r[top] > 0 for r in rejected), [[p.n for p in ps] for ps in sets]
 
     @pytest.mark.parametrize("pattern", [Graph(1, (0,)), complete_graph(2)], ids=["K1", "K2"])
     def test_trace_test_on_one_and_two_vertex_patterns(self, pattern, levels6):
@@ -594,8 +610,24 @@ class TestTraceLemma:
         # both reject every (nonempty) candidate mask
         for pn in range(1, 6):
             for parent in levels6[pn]:
-                rejected, tried = self.compare_with_child_search(parent, [pattern])
-                assert rejected == tried, to_graph6(parent)
+                rejected, tried = self.compare_with_child_search(parent, [[pattern]], 1)
+                assert rejected == [tried], to_graph6(parent)
+
+    def test_each_subset_is_keyed_once_per_order(self, monkeypatch):
+        # the 14 campaign claims at n <= 8: each parent's (k - 1)-subsets
+        # are keyed once for all live patterns on k vertices, not once per
+        # pattern, which keyed 88 740 subsets
+        keys = 0
+        upper_key = enumeration._upper_key
+
+        def counted(adj, order):
+            nonlocal keys
+            keys += 1
+            return upper_key(adj, order)
+
+        monkeypatch.setattr(enumeration, "_upper_key", counted)
+        scan_claims([(t, ps) for t in TARGETS for ps in characterized_sets(t)], 8)
+        assert keys == 47524
 
     def test_trace_table_by_brute_force(self, levels6):
         # for every connected p on k <= 5 vertices, every labelled H on k - 1
@@ -727,6 +759,19 @@ class TestWalkSets:
         for i, (ps, stream) in enumerate(zip(sets, got)):
             if i != j:
                 assert stream == list(walk(8, ps)), ps.label
+
+    def test_sending_no_bits_drops_nothing(self):
+        # send(0) is a drop call like any other: it returns None, and the
+        # graph after it still goes to the loop, so all 20 graphs come out
+        ps = parse_pattern_set("P4")
+        graphs = walk_sets(5, [ps])
+        got = []
+        for g, live in graphs:
+            got.append(g)
+            if len(got) == 2:
+                assert graphs.send(0) is None
+        assert len(got) == 20
+        assert got == list(walk(5, ps))
 
     def test_dropping_every_set_ends_the_walk(self, monkeypatch):
         # once no bit is left the walk ends: no graph after the send, and no
