@@ -15,7 +15,6 @@ equality.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -83,7 +82,6 @@ class VerdictRecord:
     claim_id: str
     n_max: int
     graphs_scanned: int
-    elapsed_ms: float
     counterexamples: tuple
     tallies: tuple[tuple[str, int], ...] = ()
 
@@ -97,7 +95,6 @@ class VerdictRecord:
             "n_max": self.n_max,
             "graphs_scanned": self.graphs_scanned,
             **dict(self.tallies),
-            "elapsed_ms": self.elapsed_ms,
             "counterexamples": list(self.counterexamples),
         }
 
@@ -107,19 +104,15 @@ def _scan(claim_id: str, n_max: int, graphs, check, tallies=()) -> VerdictRecord
 
     ``check(g, counts)`` returns the graph's counterexamples (usually none)
     and may add to ``counts``, a dict holding one count per name in
-    ``tallies``.  ``elapsed_ms`` times this loop: the checks, and whatever
-    ``graphs`` does to yield each graph.
+    ``tallies``.
     """
-    t0 = time.perf_counter()
     scanned = 0
     counts = dict.fromkeys(tallies, 0)
     bad: list = []
     for g in graphs:
         scanned += 1
         bad += check(g, counts)
-    elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
-    return VerdictRecord(claim_id, n_max, scanned, elapsed_ms, tuple(bad),
-                         tuple(counts.items()))
+    return VerdictRecord(claim_id, n_max, scanned, tuple(bad), tuple(counts.items()))
 
 
 def scan_claims(claims, n_max: int, workers: int = 1) -> list[VerdictRecord]:
@@ -129,9 +122,8 @@ def scan_claims(claims, n_max: int, workers: int = 1) -> list[VerdictRecord]:
     but from one ``_scan`` over one ``walk_sets`` of the claims' sets: bit i
     of a graph's live bits is claim i.  Each graph is checked once, with each
     invariant of ``TARGETS`` computed at most once for all its live claims.
-    A claim's record holds its own count and counterexamples, in walk order,
-    and the ``elapsed_ms`` of the whole pass, walk included.  No claims, or
-    an unknown target, is an error raised before the walk starts.
+    A claim's record holds its own count and counterexamples, in walk order.
+    No claims, or an unknown target, is an error raised before the walk starts.
     """
     claims = list(claims)
     if not claims:
@@ -158,7 +150,7 @@ def scan_claims(claims, n_max: int, workers: int = 1) -> list[VerdictRecord]:
                    walk_sets(n_max, [patterns for _, patterns in claims], workers), check,
                    range(len(claims)))
     counts = dict(walked.tallies)
-    return [VerdictRecord(f"{target}:{patterns.label}", n_max, counts[i], walked.elapsed_ms,
+    return [VerdictRecord(f"{target}:{patterns.label}", n_max, counts[i],
                           tuple(g6 for j, g6 in walked.counterexamples if j == i))
             for i, (target, patterns) in enumerate(claims)]
 

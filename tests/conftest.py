@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -37,10 +38,10 @@ def order_nine_passes():
 
     Maps each set's text to (free graphs per order n = 2..9, sha256 prefix of
     their graph6 lines each followed by a newline, the VerdictRecord of the
-    kappa' = delta scan).  The record comes from ``verify._scan``, the loop
-    ``scan_claims`` runs, over the set's graphs of the union walk, in walk
-    order, with the target's equality as the check; the check also counts
-    and hashes each graph it is handed.
+    kappa' = delta scan, the seconds that scan took).  The record comes from
+    ``verify._scan``, the loop ``scan_claims`` runs, over the set's graphs of
+    the union walk, in walk order, with the target's equality as the check;
+    the check also counts and hashes each graph it is handed.
     """
     target = "kappa_prime_delta"
     left, right = TARGETS[target]
@@ -62,6 +63,7 @@ def order_nine_passes():
             digest.update((line + "\n").encode("ascii"))
             return () if left(g) == right(g) else (line,)
 
+        t0 = time.perf_counter()
         rec = _scan(f"{target}:{patterns.label}", 9, stream, check)
-        passes[text] = (counts, digest.hexdigest()[:16], rec)
+        passes[text] = (counts, digest.hexdigest()[:16], rec, time.perf_counter() - t0)
     return passes

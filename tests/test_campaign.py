@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from edgeconn import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "run_verification.py"
 # the checkout shim and the subcommand it forwards to, as subprocess command prefixes
@@ -22,16 +24,18 @@ ENTRIES = {
 }
 REPORTS = ROOT / "reports"
 
-# reports whose content does not depend on the scan depth, so a depth-8 run
-# reproduces the committed depth-9 copies once timing fields are removed
-DEPTH_FREE_REPORTS = (
+# the campaign's sections in run order, each named by its report
+SECTIONS = (
     "selftest",
+    "equality_scans",
     "extension_witnesses",
     "condition_soundness",
     "cut_interior",
     "characterization_intersection",
-    "summary",
 )
+# reports whose content does not depend on the scan depth, so a depth-8 run
+# reproduces the committed depth-9 copies byte for byte
+DEPTH_FREE_REPORTS = (*(s for s in SECTIONS if s != "equality_scans"), "summary")
 
 # free graphs scanned per characterized set at n <= 8
 SCANNED_AT_8 = {
@@ -59,15 +63,6 @@ def load_campaign():
     return module
 
 
-def without_timing(value):
-    if isinstance(value, dict):
-        return {k: without_timing(v) for k, v in value.items()
-                if k not in ("elapsed_ms", "elapsed_s")}
-    if isinstance(value, list):
-        return [without_timing(v) for v in value]
-    return value
-
-
 def read_report(directory: Path, name: str):
     return json.loads((directory / f"{name}.json").read_text(encoding="utf-8"))
 
@@ -84,22 +79,57 @@ def run_entry(entry, *args, env_extra=None):
     )
 
 
-def test_depth_eight_reports_match_committed(tmp_path, capsys):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_depth_eight_reports_match_committed(tmp_path, capsys, workers):
     code = load_campaign().main(
-        ["--n-max", "8", "--sweep-n-max", "8", "--out-dir", str(tmp_path)]
+        ["--n-max", "8", "--sweep-n-max", "8", "--workers", workers, "--out-dir", str(tmp_path)]
     )
     capsys.readouterr()
     assert code == 0
     for name in DEPTH_FREE_REPORTS:
-        got = read_report(tmp_path, name)
-        want = read_report(REPORTS, name)
-        assert without_timing(got) == without_timing(want), name
-        if isinstance(want, dict):
-            assert list(got) == list(want), name
+        path = f"{name}.json"
+        assert (tmp_path / path).read_bytes() == (REPORTS / path).read_bytes(), name
     scans = read_report(tmp_path, "equality_scans")
     assert {r["claim_id"]: r["graphs_scanned"] for r in scans} == SCANNED_AT_8
     assert [r["claim_id"] for r in scans] == list(SCANNED_AT_8)
     assert all(r["n_max"] == 8 and r["counterexamples"] == [] for r in scans)
+
+
+def elapsed_keys(value) -> list[str]:
+    """The keys starting with 'elapsed' at any depth of a JSON value."""
+    if isinstance(value, dict):
+        return [k for k in value if k.startswith("elapsed")] + elapsed_keys(list(value.values()))
+    if isinstance(value, list):
+        return [k for v in value for k in elapsed_keys(v)]
+    return []
+
+
+def test_timing_lives_in_its_own_report(tmp_path, capsys):
+    code = load_campaign().main(
+        ["--n-max", "5", "--sweep-n-max", "5", "--out-dir", str(tmp_path)]
+    )
+    capsys.readouterr()
+    # witnesses need order 8, so the run finds a violation and still writes its timing
+    assert code == 2
+    assert read_report(tmp_path, "summary")["extension_witnesses"] == "VIOLATION"
+    timing = read_report(tmp_path, "timing")
+    assert list(timing) == [*SECTIONS, "total"]
+    assert all(type(v) in (int, float) and v >= 0 for v in timing.values()), timing
+    assert json_reports(tmp_path) == sorted(f"{n}.json" for n in (*SECTIONS, "summary", "timing"))
+    for directory in (tmp_path, REPORTS):
+        for name in (*SECTIONS, "summary"):
+            assert elapsed_keys(read_report(directory, name)) == [], (directory, name)
+
+
+def test_failed_selftest_writes_no_timing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_selftest", lambda: [("forced", False, "a failing case")])
+    code = load_campaign().main(
+        ["--n-max", "5", "--sweep-n-max", "5", "--out-dir", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "selftest failed; aborting the campaign" in err
+    assert json_reports(tmp_path) == ["selftest.json"]
 
 
 def test_bad_flag_exits_one(capsys):

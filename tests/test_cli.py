@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
@@ -275,13 +276,16 @@ class TestConditions:
 
 class TestVerify:
     def test_held_claim(self, capsys):
-        code, out = invoke(capsys, "verify", "--pair", "P4", "--n-max", "6")
+        code = main(["verify", "--pair", "P4", "--n-max", "6"])
+        out, err = capsys.readouterr()
         assert code == 0
         record = json.loads(out)
         assert record["claim_id"] == "kappa_prime_delta:P4"
         assert record["counterexamples"] == []
         assert record["n_max"] == 6
         assert record["graphs_scanned"] > 0
+        # the scan time goes to stderr, apart from the record
+        assert re.fullmatch(rf"scanned {record['graphs_scanned']} graphs in \d+\.\d{{3}} s\n", err)
 
     def test_violated_claim(self, capsys):
         code, out = invoke(capsys, "verify", "--pair", "P5", "--n-max", "6")

@@ -670,7 +670,7 @@ class TestWalk:
     @pytest.mark.parametrize("text, counts, digest", WALK9_PINS, ids=[p[0] for p in WALK9_PINS])
     def test_order_nine_streams_pinned(self, text, counts, digest, order_nine_passes):
         # the session's one walk(9, set) per set, shared with acceptance criterion 4
-        got, stream_digest, _ = order_nine_passes[text]
+        got, stream_digest, _, _ = order_nine_passes[text]
         assert got == counts
         assert stream_digest == digest
 

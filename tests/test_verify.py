@@ -64,7 +64,6 @@ class TestVerdicts:
         assert rec.held and rec.counterexamples == ()
         assert rec.n_max == 6
         assert rec.graphs_scanned > 0
-        assert rec.elapsed_ms >= 0
 
     def test_known_counterexamples_reported(self):
         rec = verify_pattern_set(parse_pattern_set("P5"), 6)
@@ -94,16 +93,15 @@ class TestVerdicts:
     def test_as_dict_schema(self):
         rec = verify_pattern_set(parse_pattern_set("K3"), 5)
         d = rec.as_dict()
-        assert list(d) == ["claim_id", "n_max", "graphs_scanned", "elapsed_ms", "counterexamples"]
+        assert list(d) == ["claim_id", "n_max", "graphs_scanned", "counterexamples"]
         assert isinstance(d["counterexamples"], list)
-        # the sweeps give the same record, with one count between the scan and its timing
+        # the sweeps give the same record, with one count before the counterexamples
         for sweep, tally in ((condition_soundness, "hypotheses_fired"),
                              (cut_interior_sweep, "gap_graphs")):
             rec = sweep(5)
             assert isinstance(rec, VerdictRecord) and rec.held
             d = rec.as_dict()
-            assert list(d) == ["claim_id", "n_max", "graphs_scanned", tally,
-                               "elapsed_ms", "counterexamples"]
+            assert list(d) == ["claim_id", "n_max", "graphs_scanned", tally, "counterexamples"]
             assert d["graphs_scanned"] == 1 + 2 + 6 + 21
             assert d[tally] == dict(rec.tallies)[tally]
 
@@ -122,10 +120,6 @@ class TestVerdicts:
         rec_high = verify_pattern_set(high, 6)
         assert rec_low.graphs_scanned <= rec_high.graphs_scanned
         assert set(rec_low.counterexamples) <= set(rec_high.counterexamples)
-
-
-def without_timing(record):
-    return {k: v for k, v in record.as_dict().items() if k != "elapsed_ms"}
 
 
 def per_claim_scans(claims, n_max):
@@ -147,9 +141,7 @@ class TestScanClaims:
         # against each claim's own scan over walk(8, set)
         claims = [(t, ps) for t in TARGETS for ps in characterized_sets(t)]
         assert len(claims) == 14
-        got = scan_claims(claims, 8)
-        assert [without_timing(r) for r in got] == [
-            without_timing(r) for r in per_claim_scans(claims, 8)]
+        assert scan_claims(claims, 8) == per_claim_scans(claims, 8)
         # mixed claims with violations, a set under two targets and a
         # reordered duplicate, so a wrong split of the one pass shows
         mixed = [(t, parse_pattern_set(text)) for t, text in (
@@ -161,14 +153,12 @@ class TestScanClaims:
             ("kappa_delta", "H0,P4"),
         )]
         got = scan_claims(mixed, 7)
-        assert [without_timing(r) for r in got] == [
-            without_timing(r) for r in per_claim_scans(mixed, 7)]
+        assert got == per_claim_scans(mixed, 7)
         assert [r.counterexamples for r in (got[0], got[3])] == [
             ("EqhO", "FqhTO"), ("FqIPO", "FqHPO")]
         for rec in (got[1], got[4]):
             assert len(rec.counterexamples) == 22
             assert rec.counterexamples[:2] == ("Dug", "Esqo")
-        assert len({r.elapsed_ms for r in got}) == 1
 
     def test_one_pass_computes_each_invariant_once_per_graph(self, monkeypatch):
         # the 14 campaign claims at n <= 7 from one _scan over one walk_sets,
